@@ -66,8 +66,7 @@ bench-compare:
 	dune build @bench-compare
 
 # Dispatch-overhead microbench: null-query requests/sec at 1/2/4/8
-# domains, old round-based scheduler (ported locally) vs the live
-# continuous-dispatch pool.
+# domains through the continuous-dispatch pool.
 dispatch-bench:
 	dune build @dispatch-bench
 

@@ -221,7 +221,7 @@ let () =
       scenarios);
   (* dispatch is optional (only present when the dispatch microbench
      merged its sweep in); when present each point is one (mode,
-     domains) cell of the old-vs-new scheduler grid. *)
+     domains) cell of the submit sweep. *)
   (match J.member "dispatch" experiments with
   | None -> ()
   | Some dispatch ->
@@ -238,14 +238,6 @@ let () =
           require "dispatch point.mode"
             (Option.bind (J.member "mode" p) J.to_str)
         in
-        let scheduler =
-          require
-            ("dispatch." ^ mode ^ ".scheduler")
-            (Option.bind (J.member "scheduler" p) J.to_str)
-        in
-        if scheduler <> "round" && scheduler <> "submit" then
-          fail "dispatch.%s.scheduler %S is neither round nor submit" mode
-            scheduler;
         let domains =
           number ("dispatch." ^ mode ^ ".domains") (J.member "domains" p)
         in

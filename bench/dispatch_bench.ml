@@ -2,17 +2,10 @@
 
    Measures requests/sec at zero query work — the null query is a
    [Count_itemsets] at minsup 1.0 over a tiny lattice, so virtually all
-   measured time is scheduling — through two schedulers:
-
-   - [round*]: a local reimplementation of the retired round-based
-     scheduler (one global job, a shared atomic cursor, a global mutex
-     and a [Condition.broadcast] thundering-herd wakeup per round, a
-     full barrier between rounds), at batch sizes 1 (the old server
-     drainer's worst case: queue depth one) and 64 (its best case);
-   - [submit*]: the live continuous-dispatch [Olar_serve.Pool], via
-     [Pool.submit] — submit1 drains after every request (matching
-     round1's one-at-a-time semantics), stream64 keeps up to 64
-     requests in flight (matching round64's).
+   measured time is scheduling — through the continuous-dispatch
+   [Olar_serve.Pool], via [Pool.submit], in two modes: submit1 drains
+   after every request (one request in flight), stream64 keeps up to 64
+   requests in flight.
 
    Each mode runs at 1/2/4/8 domains. With --json PATH the results
    MERGE into an existing bench document under [experiments.dispatch]
@@ -22,7 +15,6 @@
 
 open Olar_data
 module Engine = Olar_core.Engine
-module Session = Olar_serve.Session
 module Pool = Olar_serve.Pool
 module Jsonx = Olar_obs.Jsonx
 module Timer = Olar_util.Timer
@@ -42,181 +34,9 @@ let params =
    answers from the cut without walking the lattice. *)
 let null_req = Pool.Count_itemsets { containing = Itemset.empty; minsup = 1.0 }
 
-let null_query session =
-  ignore (Session.count_itemsets ~containing:Itemset.empty session ~minsup:1.0)
-
-(* ------------------------------------------------------------------ *)
-(* The retired round-based scheduler, ported verbatim from the old     *)
-(* Pool internals so the comparison outlives the refactor: a global    *)
-(* job record allocated per round, a shared claim cursor, a global     *)
-(* mutex with a [Condition.broadcast] wakeup, per-request timing into  *)
-(* a materialized batch array, the CAS-retry float busy accumulator,   *)
-(* and — the expensive part — an [active] count that every worker must *)
-(* check out of before the round's barrier lifts, so each round waits  *)
-(* for d-1 workers to be scheduled even when the batch holds one       *)
-(* request.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Round = struct
-  type job = {
-    hi : int;
-    next : int Atomic.t;
-    out : (unit * float) array;
-    mutable active : int;
-    id : int;
-  }
-
-  type t = {
-    d : int;
-    sessions : Session.t array;
-    mu : Mutex.t;
-    work : Condition.t;
-    finished : Condition.t;
-    mutable job : job option;
-    mutable job_seq : int;
-    mutable stop : bool;
-    served : int Atomic.t array;
-    busy : float Atomic.t array;
-    mutable workers : unit Domain.t array;
-  }
-
-  (* The old accounting, float CAS spin included. *)
-  let note_work t idx dt =
-    ignore (Atomic.fetch_and_add t.served.(idx) 1);
-    let cell = t.busy.(idx) in
-    let rec add () =
-      let old = Atomic.get cell in
-      if not (Atomic.compare_and_set cell old (old +. dt)) then add ()
-    in
-    add ()
-
-  let timed session =
-    let t0 = Timer.monotonic_s () in
-    null_query session;
-    Float.max 0.0 (Timer.monotonic_s () -. t0)
-
-  let drain t idx job =
-    let session = t.sessions.(idx) in
-    let rec loop () =
-      let i = Atomic.fetch_and_add job.next 1 in
-      if i < job.hi then begin
-        job.out.(i) <- ((), timed session);
-        note_work t idx (snd job.out.(i));
-        loop ()
-      end
-    in
-    loop ()
-
-  let worker_loop t idx =
-    let last = ref 0 in
-    let rec go () =
-      Mutex.lock t.mu;
-      let rec await () =
-        if t.stop then begin
-          Mutex.unlock t.mu;
-          None
-        end
-        else
-          match t.job with
-          | Some j when j.id <> !last ->
-            last := j.id;
-            Mutex.unlock t.mu;
-            Some j
-          | _ ->
-            Condition.wait t.work t.mu;
-            await ()
-      in
-      match await () with
-      | None -> ()
-      | Some j ->
-        drain t idx j;
-        Mutex.lock t.mu;
-        j.active <- j.active - 1;
-        if j.active = 0 then Condition.broadcast t.finished;
-        Mutex.unlock t.mu;
-        go ()
-    in
-    go ()
-
-  let create lat d =
-    let sessions =
-      Array.init d (fun _ ->
-          Session.create ~budget_bytes:0 (Engine.of_lattice lat))
-    in
-    let t =
-      {
-        d;
-        sessions;
-        mu = Mutex.create ();
-        work = Condition.create ();
-        finished = Condition.create ();
-        job = None;
-        job_seq = 0;
-        stop = false;
-        served = Array.init d (fun _ -> Atomic.make 0);
-        busy = Array.init d (fun _ -> Atomic.make 0.0);
-        workers = [||];
-      }
-    in
-    t.workers <-
-      Array.init (d - 1) (fun k ->
-          Domain.spawn (fun () -> worker_loop t (k + 1)));
-    t
-
-  (* One batch of [n] null queries — the old [run_segment], with the
-     batch array materialized per round exactly as the old drainer
-     did. *)
-  let round t n =
-    let out = Array.make n ((), 0.0) in
-    if t.d = 1 then
-      for i = 0 to n - 1 do
-        out.(i) <- ((), timed t.sessions.(0));
-        note_work t 0 (snd out.(i))
-      done
-    else begin
-      Mutex.lock t.mu;
-      t.job_seq <- t.job_seq + 1;
-      let job =
-        { hi = n; next = Atomic.make 0; out; active = t.d; id = t.job_seq }
-      in
-      t.job <- Some job;
-      Condition.broadcast t.work;
-      Mutex.unlock t.mu;
-      drain t 0 job;
-      Mutex.lock t.mu;
-      job.active <- job.active - 1;
-      while job.active > 0 do
-        Condition.wait t.finished t.mu
-      done;
-      t.job <- None;
-      Mutex.unlock t.mu
-    end
-
-  let shutdown t =
-    Mutex.lock t.mu;
-    t.stop <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mu;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
-end
-
 (* ------------------------------------------------------------------ *)
 (* Modes                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let run_round lat ~domains ~batch ~requests =
-  let t = Round.create lat domains in
-  let rounds = requests / batch in
-  let elapsed =
-    Timer.time (fun () ->
-        for _ = 1 to rounds do
-          Round.round t batch
-        done)
-    |> snd
-  in
-  Round.shutdown t;
-  (rounds * batch, elapsed)
 
 let run_submit lat ~domains ~window ~requests =
   Pool.with_pool ~domains ~budget_bytes:0 (Engine.of_lattice lat) (fun pool ->
@@ -234,7 +54,6 @@ let run_submit lat ~domains ~window ~requests =
 
 type point = {
   mode : string;
-  scheduler : string;
   domains : int;
   served : int;
   seconds : float;
@@ -242,13 +61,7 @@ type point = {
 
 let qps p = if p.seconds > 0.0 then float_of_int p.served /. p.seconds else 0.0
 
-let modes =
-  [
-    ("round1", `Round 1);
-    ("round64", `Round 64);
-    ("submit1", `Submit 1);
-    ("stream64", `Submit 64);
-  ]
+let modes = [ ("submit1", 1); ("stream64", 64) ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON merge                                                         *)
@@ -269,7 +82,6 @@ let write_json path points requests =
                  Jsonx.Obj
                    [
                      ("mode", Jsonx.Str p.mode);
-                     ("scheduler", Jsonx.Str p.scheduler);
                      ("domains", Jsonx.Int p.domains);
                      ("queries", Jsonx.Int p.served);
                      ("seconds", Jsonx.Float p.seconds);
@@ -348,40 +160,19 @@ let () =
     "dispatch microbench: %d null requests per point, lattice of %d vertices\n"
     !requests
     (Olar_core.Lattice.num_vertices lat);
-  Printf.printf "%-10s %-10s %8s %10s %12s\n" "mode" "scheduler" "domains"
-    "seconds" "req/s";
+  Printf.printf "%-10s %8s %10s %12s\n" "mode" "domains" "seconds" "req/s";
   let points =
     List.concat_map
       (fun d ->
         List.map
-          (fun (mode, kind) ->
-            let scheduler, (served, seconds) =
-              match kind with
-              | `Round batch ->
-                ("round", run_round lat ~domains:d ~batch ~requests:!requests)
-              | `Submit window ->
-                ("submit", run_submit lat ~domains:d ~window ~requests:!requests)
+          (fun (mode, window) ->
+            let served, seconds =
+              run_submit lat ~domains:d ~window ~requests:!requests
             in
-            let p = { mode; scheduler; domains = d; served; seconds } in
-            Printf.printf "%-10s %-10s %8d %10.3f %12.0f\n%!" mode scheduler d
-              seconds (qps p);
+            let p = { mode; domains = d; served; seconds } in
+            Printf.printf "%-10s %8d %10.3f %12.0f\n%!" mode d seconds (qps p);
             p)
           modes)
       !domain_sweep
   in
-  (* The headline: continuous dispatch vs the round scheduler at equal
-     in-flight budget, per domain count. *)
-  print_newline ();
-  List.iter
-    (fun d ->
-      let find m =
-        List.find_opt (fun p -> p.mode = m && p.domains = d) points
-      in
-      match (find "round1", find "submit1", find "round64", find "stream64") with
-      | Some r1, Some s1, Some r64, Some s64 ->
-        Printf.printf
-          "d=%d: submit1 %.2fx vs round1, stream64 %.2fx vs round64\n" d
-          (qps s1 /. qps r1) (qps s64 /. qps r64)
-      | _ -> ())
-    !domain_sweep;
   Option.iter (fun path -> write_json path points !requests) !json

@@ -1176,7 +1176,7 @@ let append_bench config =
 (* Network serving: closed-loop loopback HTTP clients against an
    in-process olar serve (lib/net). Where the concurrent experiment
    measures raw pool rounds, this one measures the whole wire path —
-   socket, HTTP parse, admission queue, coalesced pool round, JSON
+   socket, HTTP parse, in-flight admission, pool submit, JSON
    response — which is what a deployment actually observes. Clients
    draw query bodies from Zipf-skewed streams (an analyst's favourite
    settings dominating); sheds (429/503) are counted in the report but
@@ -1242,7 +1242,7 @@ let serve_client_get port target =
 let serve_bench config =
   section
     "Network serving: loopback HTTP clients against olar serve\n\
-     (end-to-end wire qps: socket + HTTP + admission queue + pool)";
+     (end-to-end wire qps: socket + HTTP + admission + pool)";
   (* an obs context so the server starts its eventring consumer: the
      emitted JSON then carries the gc section next to the windows *)
   let e =

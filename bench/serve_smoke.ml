@@ -4,8 +4,8 @@
    then runs an in-process olar-serve daemon with --record semantics
    and drives a canned workload — every query family plus a mid-stream
    append — through a real loopback socket from ONE client. A single
-   closed-loop client makes the capture order the issue order (each
-   admission queue round holds exactly one request), so the recorded
+   closed-loop client makes the capture order the issue order (one
+   query is in flight at a time), so the recorded
    jsonl replays digest-exactly against the saved pre-serving lattice.
 
    The replay itself is done by the driver rule with the real CLI:

@@ -1455,8 +1455,8 @@ let serve_cmd =
       value & opt int Olar_net.Server.default_config.queue_depth
       & info [ "queue-depth" ]
           ~doc:
-            "Admission-queue bound; queries arriving at capacity are shed \
-             with 429."
+            "Bound on admitted queries not yet completed; queries arriving \
+             at capacity are shed with 429."
           ~docv:"N")
   in
   let deadline_ms_arg =
@@ -1465,7 +1465,8 @@ let serve_cmd =
       & info [ "deadline-ms" ]
           ~doc:
             "Per-request deadline in milliseconds from arrival; a query \
-             still queued past it is dropped with 503. 0 disables."
+             not yet claimed for execution by then is dropped with 503. 0 \
+             disables."
           ~docv:"MS")
   in
   let trace_sample_arg =
@@ -1568,7 +1569,7 @@ let serve_cmd =
           and its digest; $(b,GET /metrics) exposes Prometheus telemetry. \
           Queries dispatch continuously into per-domain submission shards \
           across $(b,--domains) \
-          workers; overload is shed with 429 (queue full) and 503 \
+          workers; overload is shed with 429 (in-flight bound) and 503 \
           (deadline). With $(b,--record) served traffic is captured for \
           $(b,olar replay). Per-request latency splits into six traced \
           phases ($(b,--trace-sample), $(b,--slow-ms), $(b,GET /statusz)). \

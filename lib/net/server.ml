@@ -45,62 +45,51 @@ let default_config =
 
 (* The six attribution phases of one wire request, in wall-clock order.
    parse:    HTTP parse + query-key decode on the connection thread
-   queue:    arrival to the drainer claiming this ticket (per-request —
-             the drainer pops one ticket at a time, so queue wait is
-             each request's own, not its round's)
-   dispatch: claim to a pool domain starting execution (submission-shard
-             wait + wakeup; the pool histograms the same window as
+   queue:    arrival to the request being placed in a pool ring (the
+             wait for the pool's intake lock, e.g. behind a fold)
+   dispatch: placed to a pool domain starting execution (shard wait +
+             wakeup; the pool histograms the same window as
              olar_pool_dispatch_wait_seconds)
    execute:  the pool's claim-to-completion service time
    deliver:  execution done to the connection thread waking
    write:    rendering + writing the response bytes *)
 let phase_names = [| "parse"; "queue"; "dispatch"; "execute"; "deliver"; "write" |]
 
-let num_phases = Array.length phase_names
+(* One connection's rendezvous with the pool. [conn_loop] serves a
+   connection's requests one at a time, so a single waiter, allocated
+   at accept and reused, carries every query the connection admits: the
+   connection thread parks on [wcv] until the completion callback, on
+   whichever domain ran the query, fills in the outcome and stamps. *)
+type waiter = {
+  wmu : Mutex.t;
+  wcv : Condition.t;
+  mutable outcome : (Pool.response * Pool.completion) option;
+  mutable t_done : float; (* monotonic when the callback ran *)
+  mutable domain : int; (* Domain.self of the executing domain *)
+}
 
-(* One admitted query. The connection thread parks on [cv] until the
-   drainer (deadline drop) or a pool domain (completion) writes the
-   outcome. Tickets are pooled: every field is mutable so a retired
-   ticket — mutex, condvar and all — is reset and reused for a later
-   request instead of allocated fresh on the hot path. *)
-type outcome =
-  | Pending
-  | Served of Pool.response * float
-  | Shed of int * string  (* HTTP status, message *)
-
-type ticket = {
-  mutable id : int; (* server-global request id, from the HTTP front door *)
-  mutable key : Record.t;
-  mutable req : Pool.request;
-  mutable t0 : float; (* monotonic at parse start on the connection thread *)
-  mutable parse_s : float; (* HTTP parse + key decode *)
-  mutable arrival : float;
-  mutable deadline : float;  (* [infinity] when deadlines are off *)
-  tmu : Mutex.t;
-  tcv : Condition.t;
-  mutable outcome : outcome;
-  (* phase stamps, written by the drainer / executing domain *)
-  mutable t_claim : float; (* drainer claimed the ticket from the queue *)
-  mutable t_exec_start : float; (* a pool domain began executing *)
-  mutable t_exec_done : float; (* execution finished *)
-  mutable exec_domain : int; (* Domain.self of the executing domain *)
+(* What the post-write books — trace, slow ring — need to know about
+   one served query. The absolute execute window lets /statusz taint a
+   slow entry with GC pauses lazily at render time (the eventring poller
+   may record a pause after the entry is pushed; matching at read time
+   misses nothing). *)
+type served = {
+  id : int; (* server-global request id, from the HTTP front door *)
+  kind : string;
+  t0 : float; (* monotonic at parse start *)
+  exec_domain : int;
+  exec_t0 : float;
+  exec_t1 : float;
 }
 
 (* One entry of the slow-request ring: everything /statusz needs to
    show about a request that crossed the --slow-ms threshold. *)
 type slow_entry = {
-  s_id : int;
-  s_kind : string;
+  s_req : served;
   s_status : int;
-  s_domain : int;
   s_total_s : float;
-  s_phases : float array; (* length num_phases, seconds *)
+  s_phases : float array; (* indexed as [phase_names], seconds *)
   s_uptime_s : float; (* server uptime at completion *)
-  (* absolute execute window, for lazy GC-pause tainting at /statusz
-     render time (the eventring poller may record a pause after this
-     entry is pushed; matching at read time misses nothing) *)
-  s_exec_t0 : float;
-  s_exec_t1 : float;
 }
 
 type t = {
@@ -144,28 +133,18 @@ type t = {
   slow_mu : Mutex.t;
   slow_ring : slow_entry option array;
   mutable slow_seen : int; (* total requests over the threshold *)
-  (* drainer-side runtime-gauge sampling throttle *)
-  mutable last_sample_s : float;
-  (* admission queue *)
-  qmu : Mutex.t;
-  qcv : Condition.t;
-  queue : ticket Queue.t;
-  mutable stopping : bool;
-  mutable stopped : bool;
+  (* admission: admitted queries that have not completed *)
+  inflight : int Atomic.t;
+  stopping : bool Atomic.t;
   (* capture *)
   rec_oc : out_channel option;
   rec_mu : Mutex.t;
   mutable rec_seq : int;
-  (* ticket freelist (bounded): retired tickets come back here *)
-  free_mu : Mutex.t;
-  mutable free_tickets : ticket list;
-  mutable free_count : int;
   (* threads *)
   mutable accept_thread : Thread.t option;
-  mutable drainer_thread : Thread.t option;
   mutable ticker_thread : Thread.t option;
   conns_mu : Mutex.t;
-  mutable conns : (Unix.file_descr * Thread.t) list;
+  conns : (Unix.file_descr, Thread.t) Hashtbl.t; (* live connections *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -241,8 +220,8 @@ let json_response ?(headers = json_headers) ~status fields =
   Http.render_response ~headers ~status
     (Jsonx.to_string (Jsonx.Obj fields) ^ "\n")
 
-let error_response ~status msg =
-  json_response ~status
+let error_response ?headers ~status msg =
+  json_response ?headers ~status
     [
       ( "status",
         Jsonx.Str
@@ -277,56 +256,60 @@ let ok_response resp ~id ~latency_s ~total_s =
     @ result_fields resp)
 
 (* ------------------------------------------------------------------ *)
-(* Admission and the drainer                                          *)
+(* Admission and completion                                           *)
 (* ------------------------------------------------------------------ *)
 
-let resolve ticket outcome =
-  Mutex.lock ticket.tmu;
-  ticket.outcome <- outcome;
-  Condition.signal ticket.tcv;
-  Mutex.unlock ticket.tmu
+let make_waiter () =
+  {
+    wmu = Mutex.create ();
+    wcv = Condition.create ();
+    outcome = None;
+    t_done = 0.0;
+    domain = -1;
+  }
 
-let await ticket =
-  Mutex.lock ticket.tmu;
-  while ticket.outcome = Pending do
-    Condition.wait ticket.tcv ticket.tmu
+let resolve w resp c =
+  Mutex.lock w.wmu;
+  w.outcome <- Some (resp, c);
+  Condition.signal w.wcv;
+  Mutex.unlock w.wmu
+
+let await w =
+  Mutex.lock w.wmu;
+  while Option.is_none w.outcome do
+    Condition.wait w.wcv w.wmu
   done;
-  let o = ticket.outcome in
-  Mutex.unlock ticket.tmu;
-  o
+  let o = w.outcome in
+  w.outcome <- None;
+  Mutex.unlock w.wmu;
+  Option.get o
 
-(* Admit under the queue bound. 429 at capacity, 503 once shutdown has
-   begun; on success the drainer is signalled. *)
-let admit t ticket =
-  Mutex.lock t.qmu;
-  let verdict =
-    if t.stopping then Error (503, "server is shutting down")
-    else if Queue.length t.queue >= t.cfg.queue_depth then begin
+(* Admit under the in-flight bound: 503 once shutdown has begun, 429
+   at capacity. A refused increment is undone, so a concurrent
+   admission may see a transient overshoot and shed conservatively. *)
+let admit t =
+  if Atomic.get t.stopping then Error (503, "server is shutting down")
+  else
+    let depth = Atomic.fetch_and_add t.inflight 1 + 1 in
+    if depth > t.cfg.queue_depth then begin
+      Atomic.decr t.inflight;
       Counter.incr t.c_shed_queue;
       Error (429, "queue full")
     end
     else begin
-      Queue.add ticket t.queue;
-      let depth = Queue.length t.queue in
-      Metrics.Gauge.set_int t.g_queue_depth depth;
-      (* CAS-max: a read-then-set here raced between admission threads
-         and could lose the higher peak *)
+      (* CAS-max: a read-then-set here would race between connection
+         threads and could lose the higher peak *)
       Metrics.Gauge.max_int t.g_queue_peak depth;
-      Condition.signal t.qcv;
       Ok ()
     end
-  in
-  Mutex.unlock t.qmu;
-  verdict
 
-(* Append one captured record. Runs on the executing domain, before the
-   ticket is resolved (a resolved ticket may be reused immediately), so
-   capture lands in completion order: for a single client — one
-   outstanding request at a time — that is exactly submission order,
-   preserving the digest-exact replay property of single-client
-   captures. Mirrors Recorder: a query that errored emits nothing and
-   does not advance the sequence. *)
-let record_one t (ticket : ticket) resp (c : Pool.completion) =
+(* Append one captured record. Runs in the completion callback, on the
+   executing domain, so capture lands in completion order: for a single
+   client — one outstanding request at a time — that is exactly
+   submission order, preserving the digest-exact replay property of
+   single-client captures. Mirrors Recorder: a query that errored emits
+   nothing and does not advance the sequence. *)
+let record_one t (key : Record.t) resp (c : Pool.completion) =
   match t.rec_oc with
   | None -> ()
   | Some oc -> (
@@ -336,7 +319,7 @@ let record_one t (ticket : ticket) resp (c : Pool.completion) =
       Mutex.lock t.rec_mu;
       let r =
         {
-          ticket.key with
+          key with
           Record.seq = t.rec_seq;
           cache = Record.Passthrough;
           digest;
@@ -344,10 +327,9 @@ let record_one t (ticket : ticket) resp (c : Pool.completion) =
           latency_s = c.Pool.latency_s;
           vertices = 0;
           heap_pops = 0;
-          (* the executing domain's adopted view, never the
-             coordinator's: with non-blocking appends,
-             [Pool.engine t.pool] may already be a generation ahead of
-             the snapshot this response was computed on *)
+          (* the executing domain's adopted view: with non-blocking
+             appends, [Pool.engine t.pool] may already be a generation
+             ahead of the snapshot this response was computed on *)
           epoch = c.Pool.epoch;
         }
       in
@@ -357,37 +339,12 @@ let record_one t (ticket : ticket) resp (c : Pool.completion) =
       flush oc;
       Mutex.unlock t.rec_mu)
 
-(* Dispatch one claimed ticket: drop it if it already missed its
-   deadline (the 503 shed — no query work is spent on a request nobody
-   is waiting for), otherwise hand it straight to the pool's
-   submission shards. No batch is materialized anywhere: the
-   completion callback stamps the execution window on the executing
-   domain and unblocks the one connection thread waiting on this
-   ticket. *)
-let dispatch_one t ticket =
-  let now = Timer.monotonic_s () in
-  if now > ticket.deadline then begin
-    Counter.incr t.c_shed_deadline;
-    resolve ticket (Shed (503, "deadline exceeded"))
-  end
-  else begin
-    ticket.t_claim <- now;
-    Pool.submit t.pool ticket.req (fun resp c ->
-        let dt = c.Pool.latency_s in
-        let done_s = Timer.monotonic_s () in
-        ticket.t_exec_done <- done_s;
-        ticket.t_exec_start <- done_s -. dt;
-        ticket.exec_domain <- (Domain.self () :> int);
-        (try record_one t ticket resp c
-         with e ->
-           Printf.eprintf "olar-serve: capture write failed: %s\n%!"
-             (Printexc.to_string e));
-        resolve ticket (Served (resp, dt)))
-  end
-
-(* Refresh per-domain utilization and per-shard depth gauges from the
-   pool's accounting. *)
-let refresh_domain_gauges t =
+(* Refresh the runtime gauges, the in-flight query count, and
+   per-domain utilization and per-shard depth gauges from the pool's
+   accounting. *)
+let refresh_gauges t =
+  Option.iter Obs.update_runtime_gauges t.obs_ctx;
+  Metrics.Gauge.set_int t.g_queue_depth (Atomic.get t.inflight);
   Array.iteri
     (fun k (st : Pool.domain_stat) ->
       let labels = [ ("domain", string_of_int k) ] in
@@ -444,30 +401,16 @@ let health_state t =
   Metrics.Gauge.set_int t.g_health (Health.state_value state);
   (state, reading)
 
-(* Keep runtime/domain gauges fresh and merge buffered trace shards
-   even when nobody scrapes /metrics: called from the drainer between
-   dispatches and from the ticker thread when the drainer is parked,
-   at most once a second. [last_sample_s] is a benign float race
-   between those two writers — worst case one extra sample. *)
-let sample_runtime t =
-  let now = Timer.monotonic_s () in
-  if now -. t.last_sample_s >= 1.0 then begin
-    t.last_sample_s <- now;
-    Option.iter Obs.update_runtime_gauges t.obs_ctx;
-    refresh_domain_gauges t;
-    ignore (health_state t);
-    Option.iter Obs.flush t.obs_ctx
-  end
-
 (* The GC-observer systhread: the eventring consumer's poll loop, the
-   window ticker, and the idle-time heartbeat in one. The drainer only
-   samples while dispatching (it parks on the queue condvar when
-   idle), so without this thread an idle server's windows and gauges
-   would freeze at the last request. Recalibrates the eventring clock
-   offset about once a minute against gettimeofday drift. *)
+   window ticker, and the heartbeat in one — once a second (from its
+   first tick) it refreshes the gauges and health verdict and merges
+   buffered trace shards, so an idle server's windows and gauges never
+   freeze at the last request and nobody has to scrape /metrics.
+   Recalibrates the eventring clock offset about once a minute against
+   gettimeofday drift. *)
 let ticker_loop t =
   let rec go n =
-    if not t.stopping then begin
+    if not (Atomic.get t.stopping) then begin
       Thread.delay 0.05;
       Window.tick t.win;
       (match t.runtime_obs with
@@ -476,58 +419,21 @@ let ticker_loop t =
         (try ignore (Runtime_obs.poll ro)
          with _ -> () (* a torn ring must not kill the heartbeat *));
         if n mod 1200 = 0 then Runtime_obs.calibrate ro);
-      sample_runtime t;
+      if n mod 20 = 1 then begin
+        refresh_gauges t;
+        ignore (health_state t);
+        Option.iter Obs.flush t.obs_ctx
+      end;
       go (n + 1)
     end
   in
   go 1
-
-(* The drainer is a thin submit loop: pop one ticket, stamp its claim
-   time, submit, repeat. The pool's bounded shards carry the
-   in-flight window; when they are full, [Pool.submit] executes one
-   queued request inline on this thread — backpressure that keeps the
-   admission queue (and its 429 bound) the only unbounded-offered-load
-   buffer in the process. *)
-let drainer_loop t =
-  let rec go () =
-    Mutex.lock t.qmu;
-    while Queue.is_empty t.queue && not t.stopping do
-      Condition.wait t.qcv t.qmu
-    done;
-    if Queue.is_empty t.queue then begin
-      (* stopping with nothing queued: wait out what is already in the
-         shards, then exit — every admitted request has delivered *)
-      Mutex.unlock t.qmu;
-      Pool.drain t.pool
-    end
-    else begin
-      let ticket = Queue.pop t.queue in
-      Metrics.Gauge.set_int t.g_queue_depth (Queue.length t.queue);
-      Mutex.unlock t.qmu;
-      dispatch_one t ticket;
-      sample_runtime t;
-      go ()
-    end
-  in
-  go ()
 
 (* ------------------------------------------------------------------ *)
 (* Phase accounting, slow log, sampled traces                         *)
 (* ------------------------------------------------------------------ *)
 
 let clamp0 x = Float.max 0.0 x
-
-(* Per-phase durations for one served ticket, indexed as
-   [phase_names]. The write slot stays 0 here; the connection thread
-   fills it after the response bytes are out. *)
-let phase_durations ticket ~t_awake =
-  let p = Array.make num_phases 0.0 in
-  p.(0) <- clamp0 ticket.parse_s;
-  p.(1) <- clamp0 (ticket.t_claim -. ticket.arrival);
-  p.(2) <- clamp0 (ticket.t_exec_start -. ticket.t_claim);
-  p.(3) <- clamp0 (ticket.t_exec_done -. ticket.t_exec_start);
-  p.(4) <- clamp0 (t_awake -. ticket.t_exec_done);
-  p
 
 let push_slow t entry =
   Mutex.lock t.slow_mu;
@@ -541,21 +447,21 @@ let push_slow t entry =
      (parse=%.1f queue=%.1f dispatch=%.1f execute=%.1f deliver=%.1f \
      write=%.1f)\n\
      %!"
-    entry.s_id entry.s_kind entry.s_status entry.s_domain
+    entry.s_req.id entry.s_req.kind entry.s_status entry.s_req.exec_domain
     (entry.s_total_s *. 1e3)
     (ms 0) (ms 1) (ms 2) (ms 3) (ms 4) (ms 5)
 
 (* Emit one sampled per-request trace: six phase children (child-first)
    under an [http.request] root spanning the whole wire latency. The
    connection thread never touches the stack tracer — domain 0's stack
-   belongs to the drainer — so the spans are injected prebuilt into the
-   calling thread's shard. *)
-let inject_request_trace t ticket ~status ~phases ~total_s =
+   belongs to whichever thread holds the pool's intake lock — so the
+   spans are injected prebuilt into the calling thread's shard. *)
+let inject_request_trace t q ~status ~phases ~total_s =
   match Option.bind t.obs_ctx Obs.tracing with
   | None -> ()
   | Some sh ->
     let root = Olar_obs.Trace.Sharded.alloc_id sh in
-    let start = ref ticket.t0 in
+    let start = ref q.t0 in
     Array.iteri
       (fun i name ->
         ignore
@@ -565,65 +471,59 @@ let inject_request_trace t ticket ~status ~phases ~total_s =
       phase_names;
     ignore
       (Olar_obs.Trace.Sharded.inject sh ~id:root ~depth:0 ~name:"http.request"
-         ~start_s:ticket.t0 ~duration_s:total_s
+         ~start_s:q.t0 ~duration_s:total_s
          [
-           ("request", Olar_obs.Trace.Int ticket.id);
-           ("kind", Olar_obs.Trace.Str (Record.kind_to_string ticket.key.Record.kind));
+           ("request", Olar_obs.Trace.Int q.id);
+           ("kind", Olar_obs.Trace.Str q.kind);
            ("status", Olar_obs.Trace.Int status);
-           ("exec_domain", Olar_obs.Trace.Int ticket.exec_domain);
+           ("exec_domain", Olar_obs.Trace.Int q.exec_domain);
          ])
 
 (* After the response bytes are out: close the books on one served
    query — write-phase histogram, sampled trace, slow-request log. *)
-let finish_query t ticket ~status ~sampled ~phases ~write_s =
+let finish_query t q ~status ~sampled ~phases ~write_s =
   let write_s = clamp0 write_s in
   phases.(5) <- write_s;
   Metrics.Histogram.observe t.h_phase.(5) write_s;
   let total_s = Array.fold_left ( +. ) 0.0 phases in
-  if sampled then inject_request_trace t ticket ~status ~phases ~total_s;
+  if sampled then inject_request_trace t q ~status ~phases ~total_s;
   if total_s >= t.cfg.slow_s then
     push_slow t
       {
-        s_id = ticket.id;
-        s_kind = Record.kind_to_string ticket.key.Record.kind;
+        s_req = q;
         s_status = status;
-        s_domain = ticket.exec_domain;
         s_total_s = total_s;
         s_phases = phases;
         s_uptime_s = clamp0 (Timer.monotonic_s () -. t.started_s);
-        s_exec_t0 = ticket.t_exec_start;
-        s_exec_t1 = ticket.t_exec_done;
       }
 
 (* ------------------------------------------------------------------ *)
 (* /statusz                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0)
+
+let hist_json h =
+  Jsonx.Obj
+    [
+      ("count", Jsonx.Int (Metrics.Histogram.count h));
+      ("sum_s", Jsonx.Float (Metrics.Histogram.sum h));
+      ("p50_us", us (Metrics.Histogram.quantile h 0.5));
+      ("p90_us", us (Metrics.Histogram.quantile h 0.9));
+      ("p99_us", us (Metrics.Histogram.quantile h 0.99));
+    ]
+
 (* Phase-histogram summaries: a Jsonx-parseable view of the six
    olar_http_phase_seconds series, so tooling (the bench harness) can
    read phase latencies without parsing Prometheus text. *)
 let phases_json t =
-  let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0) in
   Jsonx.Obj
     (Array.to_list
-       (Array.mapi
-          (fun i name ->
-            let h = t.h_phase.(i) in
-            ( name,
-              Jsonx.Obj
-                [
-                  ("count", Jsonx.Int (Metrics.Histogram.count h));
-                  ("sum_s", Jsonx.Float (Metrics.Histogram.sum h));
-                  ("p50_us", us (Metrics.Histogram.quantile h 0.5));
-                  ("p90_us", us (Metrics.Histogram.quantile h 0.9));
-                  ("p99_us", us (Metrics.Histogram.quantile h 0.99));
-                ] ))
-          phase_names))
+       (Array.mapi (fun i name -> (name, hist_json t.h_phase.(i))) phase_names))
 
 (* One windowed-histogram summary in the same shape as [phases_json]'s
    cumulative ones, plus the window's event rate. *)
 let hist_window_json (w : Window.hist_window) =
-  let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0) in
   Jsonx.Obj
     [
       ("count", Jsonx.Int w.Window.count);
@@ -636,21 +536,18 @@ let hist_window_json (w : Window.hist_window) =
 (* The rolling view: per-second rates and windowed quantiles over the
    last window span, where everything above is process-cumulative. *)
 let window_json t =
-  Window.tick t.win;
+  let r = health_reading t in
   Jsonx.Obj
     [
       ("span_s", Jsonx.Float (Window.span_s t.win));
-      ("covered_s", Jsonx.Float (Window.covered_s t.win));
+      ("covered_s", Jsonx.Float r.Health.window_s);
       ("qps", Jsonx.Float (Window.counter_rate t.w_queries));
       ("queries", Jsonx.Int (Window.counter_delta t.w_queries));
       (* decided-to-completion in the window — what health grades
          against, where [queries] above is stamped at intake *)
-      ("executed", Jsonx.Int (Window.histogram_window t.w_request).Window.count);
-      ( "shed",
-        Jsonx.Int
-          (Window.counter_delta t.w_shed_queue
-          + Window.counter_delta t.w_shed_deadline) );
-      ("http_5xx", Jsonx.Int (Window.counter_delta t.w_5xx));
+      ("executed", Jsonx.Int r.Health.executed);
+      ("shed", Jsonx.Int r.Health.shed);
+      ("http_5xx", Jsonx.Int r.Health.errors_5xx);
       ("request", hist_window_json (Window.histogram_window t.w_request));
       ( "phases",
         Jsonx.Obj
@@ -672,22 +569,25 @@ let gc_json t =
       ]
   | _ -> Jsonx.Null
 
+(* The verdict and its JSON — /statusz's "health" section and the
+   /healthz body alike. *)
 let health_json t =
   let state, reading = health_state t in
-  Jsonx.Obj
-    [
-      ("state", Jsonx.Str (Health.state_name state));
-      ( "reasons",
-        Jsonx.Arr (List.map (fun r -> Jsonx.Str r) (Health.reasons state)) );
-      ("window_s", Jsonx.Float reading.Health.window_s);
-      ("queries", Jsonx.Int (Health.arrivals reading));
-      ("executed", Jsonx.Int reading.Health.executed);
-      ("shed", Jsonx.Int reading.Health.shed);
-      ("http_5xx", Jsonx.Int reading.Health.errors_5xx);
-      ( "exec_p99_ms",
-        let p = reading.Health.exec_p99_s in
-        if Float.is_finite p then Jsonx.Float (p *. 1e3) else Jsonx.Null );
-    ]
+  ( state,
+    Jsonx.Obj
+      [
+        ("state", Jsonx.Str (Health.state_name state));
+        ( "reasons",
+          Jsonx.Arr (List.map (fun r -> Jsonx.Str r) (Health.reasons state)) );
+        ("window_s", Jsonx.Float reading.Health.window_s);
+        ("queries", Jsonx.Int (Health.arrivals reading));
+        ("executed", Jsonx.Int reading.Health.executed);
+        ("shed", Jsonx.Int reading.Health.shed);
+        ("http_5xx", Jsonx.Int reading.Health.errors_5xx);
+        ( "exec_p99_ms",
+          let p = reading.Health.exec_p99_s in
+          if Float.is_finite p then Jsonx.Float (p *. 1e3) else Jsonx.Null );
+      ] )
 
 (* [gc_pause_s] is the tainting verdict: the longest recorded GC pause
    overlapping this entry's execute window, resolved lazily at render
@@ -695,10 +595,10 @@ let health_json t =
 let slow_entry_json ?gc_pause_s e =
   Jsonx.Obj
     [
-      ("id", Jsonx.Int e.s_id);
-      ("kind", Jsonx.Str e.s_kind);
+      ("id", Jsonx.Int e.s_req.id);
+      ("kind", Jsonx.Str e.s_req.kind);
       ("status", Jsonx.Int e.s_status);
-      ("domain", Jsonx.Int e.s_domain);
+      ("domain", Jsonx.Int e.s_req.exec_domain);
       ("total_ms", Jsonx.Float (e.s_total_s *. 1e3));
       ( "phases_ms",
         Jsonx.Obj
@@ -717,7 +617,7 @@ let taint_slow t e =
   match t.runtime_obs with
   | None -> None
   | Some ro ->
-    Runtime_obs.pause_overlapping ro ~t0:e.s_exec_t0 ~t1:e.s_exec_t1 ()
+    Runtime_obs.pause_overlapping ro ~t0:e.s_req.exec_t0 ~t1:e.s_req.exec_t1 ()
 
 (* Snapshot the slow ring, newest first. *)
 let slow_snapshot t =
@@ -760,18 +660,6 @@ let statusz_json t =
                 ])
             (Pool.domain_stats t.pool)))
   in
-  let dispatch_json =
-    let h = Pool.dispatch_wait t.pool in
-    let us x = Jsonx.Float (if Float.is_finite x then x *. 1e6 else 0.0) in
-    Jsonx.Obj
-      [
-        ("count", Jsonx.Int (Metrics.Histogram.count h));
-        ("sum_s", Jsonx.Float (Metrics.Histogram.sum h));
-        ("p50_us", us (Metrics.Histogram.quantile h 0.5));
-        ("p90_us", us (Metrics.Histogram.quantile h 0.9));
-        ("p99_us", us (Metrics.Histogram.quantile h 0.99));
-      ]
-  in
   let shards_json =
     Jsonx.Arr
       (Array.to_list
@@ -786,8 +674,7 @@ let statusz_json t =
       ( "queue",
         Jsonx.Obj
           [
-            ( "depth",
-              Jsonx.Int (int_of_float (Metrics.Gauge.value t.g_queue_depth)) );
+            ("depth", Jsonx.Int (Atomic.get t.inflight));
             ( "peak",
               Jsonx.Int (int_of_float (Metrics.Gauge.value t.g_queue_peak)) );
             ("limit", Jsonx.Int t.cfg.queue_depth);
@@ -796,6 +683,9 @@ let statusz_json t =
         Jsonx.Obj
           [
             ("connections", Jsonx.Int (Counter.value t.c_conns));
+            ( "connections_open",
+              Jsonx.Int
+                (Mutex.protect t.conns_mu (fun () -> Hashtbl.length t.conns)) );
             ("requests", Jsonx.Int (Counter.value t.c_requests));
             ("queries", Jsonx.Int (Counter.value t.c_queries));
             ("bad_requests", Jsonx.Int (Counter.value t.c_bad));
@@ -803,12 +693,12 @@ let statusz_json t =
             ("shed_deadline", Jsonx.Int (Counter.value t.c_shed_deadline));
           ] );
       ("pool", pool_json);
-      ("dispatch", dispatch_json);
+      ("dispatch", hist_json (Pool.dispatch_wait t.pool));
       ("shards", shards_json);
       ("phases", phases_json t);
       ("window", window_json t);
       ("gc", gc_json t);
-      ("health", health_json t);
+      ("health", snd (health_json t));
       ( "slow",
         Jsonx.Obj
           [
@@ -830,73 +720,17 @@ let statusz_json t =
 (* Request handling                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The ticket freelist. A retired ticket keeps its last key/req until
-   the next reuse overwrite — bounded retention, capped below — in
-   exchange for never allocating a mutex/condvar pair on the serving
-   hot path. *)
-let free_cap = 64
-
-let acquire_ticket t ~rid ~key ~req ~t0 ~parse_s ~arrival ~deadline =
-  Mutex.lock t.free_mu;
-  let recycled =
-    match t.free_tickets with
-    | tk :: rest ->
-      t.free_tickets <- rest;
-      t.free_count <- t.free_count - 1;
-      Some tk
-    | [] -> None
-  in
-  Mutex.unlock t.free_mu;
-  match recycled with
-  | Some tk ->
-    tk.id <- rid;
-    tk.key <- key;
-    tk.req <- req;
-    tk.t0 <- t0;
-    tk.parse_s <- parse_s;
-    tk.arrival <- arrival;
-    tk.deadline <- deadline;
-    tk.outcome <- Pending;
-    tk.t_claim <- arrival;
-    tk.t_exec_start <- arrival;
-    tk.t_exec_done <- arrival;
-    tk.exec_domain <- -1;
-    tk
-  | None ->
-    {
-      id = rid;
-      key;
-      req;
-      t0;
-      parse_s;
-      arrival;
-      deadline;
-      tmu = Mutex.create ();
-      tcv = Condition.create ();
-      outcome = Pending;
-      t_claim = arrival;
-      t_exec_start = arrival;
-      t_exec_done = arrival;
-      exec_domain = -1;
-    }
-
-(* Only after the connection thread is completely done with the ticket
-   — the response is written and the phase books are closed — may it go
-   back on the freelist; the pool side never touches a ticket after
-   [resolve]. *)
-let release_ticket t tk =
-  Mutex.lock t.free_mu;
-  if t.free_count < free_cap then begin
-    t.free_tickets <- tk :: t.free_tickets;
-    t.free_count <- t.free_count + 1
-  end;
-  Mutex.unlock t.free_mu
+let shed t ~status msg =
+  if status >= 500 then Counter.incr t.c_5xx;
+  (error_response ~status msg, None)
 
 (* [handle_query] returns the response string plus an optional
    post-write hook: phase accounting can only complete once the write
    phase is measured, which happens on the connection thread after
-   [send]. *)
-let handle_query t ~rid ~t0 body =
+   [send]. The connection thread submits straight to the pool and parks
+   on its waiter; the completion callback captures the record and
+   stamps the execution window on the executing domain. *)
+let handle_query t w ~rid ~t0 body =
   let fail e =
     Counter.incr t.c_bad;
     (error_response ~status:400 e, None)
@@ -906,37 +740,48 @@ let handle_query t ~rid ~t0 body =
   | Ok key -> (
     match Replay.request_of_record key with
     | Error e -> fail ("incomplete query key: " ^ e)
-    | Ok req ->
+    | Ok req -> (
       Counter.incr t.c_queries;
       let arrival = Timer.monotonic_s () in
-      let sampled =
-        t.cfg.trace_sample > 0
-        && Option.bind t.obs_ctx Obs.tracing <> None
-        && rid mod t.cfg.trace_sample = 0
-      in
-      let ticket =
-        acquire_ticket t ~rid ~key ~req ~t0 ~parse_s:(arrival -. t0) ~arrival
-          ~deadline:
-            (if t.cfg.deadline_s > 0.0 then arrival +. t.cfg.deadline_s
-             else infinity)
-      in
-      (match admit t ticket with
-      | Error (status, msg) ->
-        if status >= 500 then Counter.incr t.c_5xx;
-        release_ticket t ticket;
-        (error_response ~status msg, None)
-      | Ok () -> (
-        match await ticket with
-        | Pending -> assert false
-        | Shed (status, msg) ->
+      match admit t with
+      | Error (status, msg) -> shed t ~status msg
+      | Ok () ->
+        let deadline =
+          if t.cfg.deadline_s > 0.0 then arrival +. t.cfg.deadline_s
+          else infinity
+        in
+        Pool.submit ~deadline t.pool req (fun resp c ->
+            w.t_done <- Timer.monotonic_s ();
+            w.domain <- (Domain.self () :> int);
+            (if not c.Pool.expired then
+               try record_one t key resp c
+               with e ->
+                 Printf.eprintf "olar-serve: capture write failed: %s\n%!"
+                   (Printexc.to_string e));
+            resolve w resp c);
+        let resp, c = await w in
+        Atomic.decr t.inflight;
+        if c.Pool.expired then begin
           (* shed before execution: no phase account to close *)
-          if status >= 500 then Counter.incr t.c_5xx;
-          release_ticket t ticket;
-          (error_response ~status msg, None)
-        | Served (resp, latency_s) ->
+          Counter.incr t.c_shed_deadline;
+          shed t ~status:503 "deadline exceeded"
+        end
+        else begin
           let t_awake = Timer.monotonic_s () in
           Metrics.Histogram.observe t.h_request (clamp0 (t_awake -. arrival));
-          let phases = phase_durations ticket ~t_awake in
+          let exec_t0 = w.t_done -. c.Pool.latency_s in
+          (* indexed as [phase_names]; the connection thread fills the
+             write slot after the response bytes are out *)
+          let phases =
+            [|
+              clamp0 (arrival -. t0);
+              clamp0 (exec_t0 -. c.Pool.wait_s -. arrival);
+              c.Pool.wait_s;
+              c.Pool.latency_s;
+              clamp0 (t_awake -. w.t_done);
+              0.0;
+            |]
+          in
           for i = 0 to 4 do
             Metrics.Histogram.observe t.h_phase.(i) phases.(i)
           done;
@@ -944,35 +789,30 @@ let handle_query t ~rid ~t0 body =
           let status, body =
             match resp with
             | Pool.R_error msg -> (422, error_response ~status:422 msg)
-            | resp -> (200, ok_response resp ~id:rid ~latency_s ~total_s)
+            | resp ->
+              ( 200,
+                ok_response resp ~id:rid ~latency_s:c.Pool.latency_s ~total_s )
+          in
+          let q =
+            {
+              id = rid;
+              kind = Record.kind_to_string key.Record.kind;
+              t0;
+              exec_domain = w.domain;
+              exec_t0;
+              exec_t1 = w.t_done;
+            }
+          in
+          let sampled =
+            t.cfg.trace_sample > 0
+            && Option.bind t.obs_ctx Obs.tracing <> None
+            && rid mod t.cfg.trace_sample = 0
           in
           ( body,
             Some
-              (fun write_s ->
-                finish_query t ticket ~status ~sampled ~phases ~write_s;
-                release_ticket t ticket) ))))
-
-(* /healthz: the health engine's verdict as JSON. Degraded stays 200 —
-   naive probes keep routing while the reasons are on display —
-   unhealthy answers 503 so load balancers pull the instance. *)
-let healthz t =
-  let state, reading = health_state t in
-  let body =
-    Jsonx.to_string
-      (Jsonx.Obj
-         [
-           ("state", Jsonx.Str (Health.state_name state));
-           ( "reasons",
-             Jsonx.Arr (List.map (fun r -> Jsonx.Str r) (Health.reasons state))
-           );
-           ("window_s", Jsonx.Float reading.Health.window_s);
-           ("queries", Jsonx.Int (Health.arrivals reading));
-           ("executed", Jsonx.Int reading.Health.executed);
-           ("shed", Jsonx.Int reading.Health.shed);
-         ])
-    ^ "\n"
-  in
-  (Health.status_code state, json_headers, body)
+              (fun write_s -> finish_query t q ~status ~sampled ~phases ~write_s)
+          )
+        end))
 
 (* The GET status/headers/body of each read-only endpoint, shared by
    HEAD (which renders the same status/headers with the body
@@ -980,20 +820,23 @@ let healthz t =
 let endpoint_get t target =
   match target with
   | "/metrics" ->
-    Option.iter Obs.update_runtime_gauges t.obs_ctx;
-    refresh_domain_gauges t;
+    refresh_gauges t;
     Some
       ( 200,
         [ ("content-type", "text/plain; version=0.0.4; charset=utf-8") ],
         Exposition.to_prometheus t.registry )
-  | "/healthz" -> Some (healthz t)
+  | "/healthz" ->
+    (* the health engine's verdict as JSON. Degraded stays 200 — naive
+       probes keep routing while the reasons are on display — unhealthy
+       answers 503 so load balancers pull the instance. *)
+    let state, body = health_json t in
+    Some (Health.status_code state, json_headers, Jsonx.to_string body ^ "\n")
   | "/statusz" ->
-    Option.iter Obs.update_runtime_gauges t.obs_ctx;
-    refresh_domain_gauges t;
+    refresh_gauges t;
     Some (200, json_headers, Jsonx.to_string (statusz_json t) ^ "\n")
   | _ -> None
 
-let handle t (req : Http.request) ~rid ~t0 =
+let handle t w (req : Http.request) ~rid ~t0 =
   let close =
     match Http.header req "connection" with
     | Some v -> String.lowercase_ascii (String.trim v) = "close"
@@ -1001,7 +844,7 @@ let handle t (req : Http.request) ~rid ~t0 =
   in
   let resp, post =
     match (req.meth, req.target) with
-    | "POST", "/query" -> handle_query t ~rid ~t0 req.body
+    | "POST", "/query" -> handle_query t w ~rid ~t0 req.body
     | ("GET" | "HEAD"), target -> (
       match endpoint_get t target with
       | Some (status, headers, body) ->
@@ -1028,6 +871,7 @@ let write_all fd s =
   go 0
 
 let conn_loop t fd =
+  let w = make_waiter () in
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 8192 in
   let off = ref 0 in
@@ -1050,7 +894,7 @@ let conn_loop t fd =
            off := !off + used;
            Counter.incr t.c_requests;
            let rid = Atomic.fetch_and_add t.req_seq 1 in
-           let resp, close, post = handle t req ~rid ~t0:pt0 in
+           let resp, close, post = handle t w req ~rid ~t0:pt0 in
            let w0 = Timer.monotonic_s () in
            send resp;
            (match post with
@@ -1069,16 +913,9 @@ let conn_loop t fd =
          | Http.Failed e ->
            Counter.incr t.c_bad;
            send
-             (Http.render_response
+             (error_response
                 ~headers:(("connection", "close") :: json_headers)
-                ~status:e.Http.status
-                (Jsonx.to_string
-                   (Jsonx.Obj
-                      [
-                        ("status", Jsonx.Str "bad_request");
-                        ("error", Jsonx.Str e.Http.reason);
-                      ])
-                ^ "\n"));
+                ~status:e.Http.status e.Http.reason);
            closed := true
        done;
        if not !closed then
@@ -1088,32 +925,36 @@ let conn_loop t fd =
          | exception _ -> closed := true
      done
    with _ -> ());
-  (try Unix.close fd with _ -> ())
+  (* deregister before closing, under the lock [stop] shuts fds down
+     under, so [stop] never touches a reused fd number *)
+  Mutex.protect t.conns_mu (fun () ->
+      Hashtbl.remove t.conns fd;
+      try Unix.close fd with _ -> ())
 
 (* Poll with a short select so shutdown can stop the loop: closing a
    socket does not wake a thread blocked in accept(2), so a blocking
    accept here would make [stop] hang. *)
 let accept_loop t =
   let rec go () =
-    if t.stopping then ()
+    if Atomic.get t.stopping then ()
     else
       let ready =
         match Unix.select [ t.lsock ] [] [] 0.05 with
         | r, _, _ -> r <> []
         | exception _ -> false
       in
-      if t.stopping then ()
+      if Atomic.get t.stopping then ()
       else if not ready then go ()
       else
         match Unix.accept ~cloexec:true t.lsock with
-        | exception _ -> if not t.stopping then go ()
+        | exception _ -> if not (Atomic.get t.stopping) then go ()
         | fd, _addr ->
           Counter.incr t.c_conns;
           (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-          let th = Thread.create (fun () -> conn_loop t fd) () in
-          Mutex.lock t.conns_mu;
-          t.conns <- (fd, th) :: t.conns;
-          Mutex.unlock t.conns_mu;
+          (* registered under the lock the thread deregisters under, so
+             a connection that ends at once still leaves no entry *)
+          Mutex.protect t.conns_mu (fun () ->
+              Hashtbl.replace t.conns fd (Thread.create (conn_loop t) fd));
           go ()
   in
   go ()
@@ -1166,11 +1007,11 @@ let create ?(config = default_config) ?domains ?budget_bytes engine =
   in
   let c_shed_queue =
     counter "olar_http_shed_queue_total"
-      "queries shed with 429 (admission queue full)"
+      "queries shed with 429 (in-flight bound reached)"
   in
   let c_shed_deadline =
     counter "olar_http_shed_deadline_total"
-      "queries shed with 503 (deadline passed while queued)"
+      "queries shed with 503 (deadline passed before execution)"
   in
   let c_5xx =
     counter "olar_http_5xx_total" "responses answered with a 5xx status"
@@ -1200,8 +1041,8 @@ let create ?(config = default_config) ?domains ?budget_bytes engine =
         Some (Runtime_obs.start ~metrics:registry ~clock:Timer.monotonic_s ())
       with _ -> None)
   in
-  (* 60 one-second buckets over the same monotonic clock the tickets
-     are stamped with. *)
+  (* 60 one-second buckets over the same monotonic clock the request
+     phases are stamped with. *)
   let win = Window.create ~clock:Timer.monotonic_s () in
   let t =
     {
@@ -1219,10 +1060,10 @@ let create ?(config = default_config) ?domains ?budget_bytes engine =
       c_shed_deadline;
       c_5xx;
       g_queue_depth =
-        Metrics.gauge registry ~help:"admission queue depth at last change"
+        Metrics.gauge registry ~help:"admitted queries not yet completed"
           "olar_http_queue_depth";
       g_queue_peak =
-        Metrics.gauge registry ~help:"peak admission queue depth"
+        Metrics.gauge registry ~help:"peak admitted queries not yet completed"
           "olar_http_queue_depth_peak";
       g_health =
         Metrics.gauge registry
@@ -1249,27 +1090,18 @@ let create ?(config = default_config) ?domains ?budget_bytes engine =
       slow_mu = Mutex.create ();
       slow_ring = Array.make config.slow_ring None;
       slow_seen = 0;
-      last_sample_s = neg_infinity;
-      qmu = Mutex.create ();
-      qcv = Condition.create ();
-      queue = Queue.create ();
-      stopping = false;
-      stopped = false;
+      inflight = Atomic.make 0;
+      stopping = Atomic.make false;
       rec_oc;
       rec_mu = Mutex.create ();
       rec_seq = 0;
-      free_mu = Mutex.create ();
-      free_tickets = [];
-      free_count = 0;
       accept_thread = None;
-      drainer_thread = None;
       ticker_thread = None;
       conns_mu = Mutex.create ();
-      conns = [];
+      conns = Hashtbl.create 16;
     }
   in
   t.accept_thread <- Some (Thread.create accept_loop t);
-  t.drainer_thread <- Some (Thread.create drainer_loop t);
   t.ticker_thread <- Some (Thread.create ticker_loop t);
   t
 
@@ -1278,34 +1110,29 @@ let url t = Printf.sprintf "http://%s:%d" t.cfg.host t.bound_port
 let pool t = t.pool
 
 let stop t =
-  Mutex.lock t.qmu;
-  if t.stopped then Mutex.unlock t.qmu
-  else begin
-    t.stopped <- true;
-    t.stopping <- true;
-    (* wake the drainer so it drains the remaining queue and exits *)
-    Condition.broadcast t.qcv;
-    Mutex.unlock t.qmu;
-    (* the accept loop notices [stopping] within one select tick; only
-       close the listener after it exits so the fd cannot be reused
-       under a racing accept *)
+  if not (Atomic.exchange t.stopping true) then begin
+    (* new queries now answer 503. The accept loop notices within one
+       select tick; only close the listener after it exits so the fd
+       cannot be reused under a racing accept *)
     Option.iter Thread.join t.accept_thread;
     (try Unix.close t.lsock with _ -> ());
-    (* every already-admitted query is served before the drainer exits *)
-    Option.iter Thread.join t.drainer_thread;
+    (* execute every admitted query that is still in a ring *)
+    Pool.drain t.pool;
     (* the ticker notices [stopping] within one 50ms delay *)
     Option.iter Thread.join t.ticker_thread;
     Option.iter Runtime_obs.stop t.runtime_obs;
-    (* unblock idle keep-alive readers; in-flight responses still go
-       out because only the receive side is shut down *)
-    Mutex.lock t.conns_mu;
-    let conns = t.conns in
-    t.conns <- [];
-    Mutex.unlock t.conns_mu;
-    List.iter
-      (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
-      conns;
-    List.iter (fun (_, th) -> Thread.join th) conns;
+    (* unblock idle keep-alive readers; admitted responses still go out
+       because only the receive side is shut down, and joining the
+       connection threads waits for those writes *)
+    let threads =
+      Mutex.protect t.conns_mu (fun () ->
+          Hashtbl.fold
+            (fun fd th acc ->
+              (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ());
+              th :: acc)
+            t.conns [])
+    in
+    List.iter Thread.join threads;
     Option.iter close_out_noerr t.rec_oc;
     Pool.shutdown t.pool;
     (* every producer thread is joined: merge whatever spans are still

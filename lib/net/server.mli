@@ -2,16 +2,19 @@
 
     The ROADMAP's online half is a long-lived process answering
     interactive mining queries; this module is its network front door.
-    One listening TCP socket, one lightweight thread per accepted
-    connection, one {b bounded admission queue} in the middle, and one
-    {b drainer} thread behind it that streams each admitted request
-    into the pool via {!Olar_serve.Pool.submit} — continuous per-domain
-    dispatch, no batch materialization between admission and execution.
+    One listening TCP socket and one lightweight thread per accepted
+    connection, which submits each admitted query straight into the
+    pool via {!Olar_serve.Pool.submit} — continuous per-domain
+    dispatch, with no queue or hand-off thread between the socket and
+    the pool's rings — and parks until the completion callback fires.
     Systhreads carry the blocking socket I/O (a blocked read releases
-    the domain lock); the domains do the query work. Ticket records
-    (one per in-flight query, carrying its mutex/condvar pair) are
-    pooled and reused, so the steady-state serving path allocates no
-    synchronization objects.
+    the domain lock); the domains do the query work. Each connection
+    allocates one waiter (a mutex/condvar pair plus phase stamps) when
+    it is accepted and reuses it for every query it serves, so the
+    steady-state serving path allocates no synchronization objects.
+    Besides the connection threads the server runs two long-lived
+    threads: the accept loop and a ticker that advances the sliding
+    windows and samples runtime gauges once a second.
 
     {2 Endpoints}
 
@@ -45,7 +48,9 @@
       The same verdict is exported as the [olar_health_state] gauge
       (0/1/2).
     - [GET /statusz] — JSON debug state: build version, uptime, queue
-      depth/peak/limit, request counters, per-domain utilization, a
+      depth/peak/limit (admitted queries not yet completed), request
+      counters (including [connections_open], the live connection
+      count), per-domain utilization, a
       dispatch-wait histogram summary, per-shard submission-queue
       depths, the six phase-histogram summaries, a ["window"] section
       (per-second qps/shed/5xx rates and rolling p50/p90/p99 per phase
@@ -70,15 +75,18 @@
     that reports it). With [trace_sample = N] and tracing enabled,
     every Nth request additionally emits an [http.request] span with
     six [phase.*] children into the engine's trace sink, tagged with
-    the request id, kind, HTTP status and executing domain.
+    the request id, kind, HTTP status and executing domain. [queue] is
+    the wait from arrival until the query is placed in a pool ring —
+    the wait for the pool's intake lock, e.g. behind an append's fold;
+    [dispatch] runs from placement to a domain starting execution.
 
     {2 Load shedding}
 
-    Admission is refused with {b 429} when the queue holds
-    [queue_depth] requests (the flood simply never reaches the pool:
-    memory stays bounded by [queue_depth], not by offered load). A
-    request that waited in the queue past its deadline
-    ([deadline_s] after arrival) is dropped by the drainer with
+    Admission is refused with {b 429} when [queue_depth] admitted
+    queries have not completed yet (an atomic in-flight count; the
+    flood simply never reaches the pool, so memory stays bounded by
+    [queue_depth], not by offered load). A query that a pool domain
+    claims past its deadline ([deadline_s] after arrival) is shed with
     {b 503} before any query work is spent on it. Both sheds are
     counted ([olar_http_shed_queue_total],
     [olar_http_shed_deadline_total]).
@@ -97,17 +105,19 @@
 
     {2 Shutdown}
 
-    {!stop} is graceful: the listening socket closes first (no new
-    connections), new admissions are refused with 503, the drainer
-    {b drains every already-admitted request} and their responses are
-    written, then connections are closed and all threads joined. *)
+    {!stop} is graceful: new queries are refused with 503, the
+    listening socket closes (no new connections), the pool is drained
+    so {b every already-admitted query executes}, connections are
+    half-closed, and every connection thread is joined after writing
+    its admitted response; then the pool shuts down. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] binds an ephemeral port — read it back with {!port} *)
   backlog : int;  (** listen backlog, default 64 *)
   queue_depth : int;
-      (** admission-queue bound; at capacity new queries shed with 429 *)
+      (** bound on admitted queries not yet completed; at capacity new
+          queries shed with 429 *)
   deadline_s : float;
       (** per-request deadline from arrival; [0.] disables (default) *)
   max_body_bytes : int;  (** request-body cap, default 4 MiB *)

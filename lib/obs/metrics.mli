@@ -37,7 +37,7 @@ module Gauge : sig
   (** [max_float g v] raises the cell to [v] unless it is already
       higher — a lock-free monotone maximum (CAS loop), safe against
       racing writers where a read-then-[set] would lose updates. Used
-      for high-water marks like the admission queue's depth peak. *)
+      for high-water marks like the server's in-flight query peak. *)
   val max_float : t -> float -> unit
 
   val max_int : t -> int -> unit

@@ -62,7 +62,7 @@ val calibrated : t -> bool
     domain slot; omitted, any domain counts, which is the right
     default for pause-tainting requests: OCaml 5 minor collections are
     stop-the-world across domains, and [Domain.self]'s unique id (what
-    the serving layer stamps on tickets) is not the eventring slot, so
+    the serving layer stamps on requests) is not the eventring slot, so
     a cross-clock exact-domain match would be spuriously precise. *)
 val pause_overlapping :
   t -> ?domain:int -> t0:float -> t1:float -> unit -> float option

@@ -255,12 +255,13 @@ let run ?(on_outcome = fun _ -> ()) session records =
 let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
   (* Convert every record up front; a structurally incomplete record is
      an error outcome without executing anything. The valid requests
-     are streamed through {!Pool.submit} — the same continuous path the
-     server drainer uses — except that the stream drains before each
-     append: pool appends publish without quiescing, and a capture's
-     digests are only meaningful if every query replays on the same
-     database state it was recorded against, so the replay re-imposes
-     the capture's sequential epochs at append boundaries. Each
+     are streamed through {!Pool.submit} — the same continuous path
+     the server's connection threads use — except that the stream
+     drains before each append: pool appends publish without
+     quiescing, and a capture's digests are only meaningful if every
+     query replays on the same database state it was recorded against,
+     so the replay re-imposes the capture's sequential epochs at append
+     boundaries. Each
      callback writes a distinct slot of [out], so completion order is
      free to differ from submission order. *)
   let converted = List.map (fun r -> (r, request_of_record r)) records in

@@ -61,7 +61,7 @@ val request_of_record :
 val digest_response : Olar_serve.Pool.response -> Fnv.t option
 
 (** [run_pool pool records] streams the log through a serving pool via
-    {!Olar_serve.Pool.submit} — the server drainer's continuous path —
+    {!Olar_serve.Pool.submit} — the server's continuous path —
     with appends quiescing the stream, walking the same epoch sequence
     the capture did — and compares each response digest against its
     record. Work counters on the replayed side are the

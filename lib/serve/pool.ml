@@ -45,20 +45,23 @@ type response =
 
 type completion = {
   latency_s : float;
+  wait_s : float;
+  expired : bool;
   epoch : int;
   gen : int;
 }
 
 let null_deliver (_ : response) (_ : completion) = ()
 let dummy_request = Count_itemsets { containing = Itemset.empty; minsup = 1.0 }
+let shed_response = R_error "deadline exceeded"
 
 (* ------------------------------------------------------------------ *)
 (* Published snapshots                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One published database state: the engine the coordinator serves on
-   plus a pre-built per-worker view ({!Engine.view}: same lattice, same
-   epoch, private scratch) for every worker slot. The record is
+(* One published database state: the engine slot 0 serves on plus a
+   pre-built per-worker view ({!Engine.view}: same lattice, same epoch,
+   private scratch) for every worker slot. The record is
    immutable; appends build the next one off to the side and swap the
    [published] pointer. *)
 type snapshot = {
@@ -83,20 +86,22 @@ type snapshot = {
 type cell = {
   mutable c_req : request;
   mutable c_deliver : response -> completion -> unit;
-  mutable c_submitted : float; (* Timer.monotonic_s at submit *)
+  mutable c_submitted : float; (* Timer.monotonic_s when placed *)
+  mutable c_deadline : float; (* [infinity] when the request has none *)
   c_seq : int Atomic.t;
 }
 
-(* A worker's submission shard. Single producer (the coordinator),
-   multiple consumers (the owning worker plus any stealing sibling, and
-   the coordinator itself under backpressure or drain): producers probe
-   [tail]'s slot stamp, consumers race on [head] with CAS. Parking is
-   per-shard — one mutex/condvar pair nobody but this worker waits on —
-   so waking one domain never touches the others. *)
+(* A worker's submission shard. Single producer (whichever thread holds
+   the intake lock), multiple consumers (the owning worker plus any
+   stealing sibling, and the lock holder itself under backpressure or
+   drain): producers probe [tail]'s slot stamp, consumers race on
+   [head] with CAS. Parking is per-shard — one mutex/condvar pair
+   nobody but this worker waits on — so waking one domain never touches
+   the others. *)
 type shard = {
   ring : cell array;
   mask : int;
-  tail : int Atomic.t; (* producer cursor; written by the coordinator only *)
+  tail : int Atomic.t; (* producer cursor; written under the intake lock *)
   head : int Atomic.t; (* consumer claim cursor *)
   pmu : Mutex.t;
   pcv : Condition.t;
@@ -110,6 +115,7 @@ type slot = {
   mutable s_req : request;
   mutable s_deliver : response -> completion -> unit;
   mutable s_submitted : float;
+  mutable s_deadline : float;
 }
 
 let shard_capacity = 64 (* power of two; bounds per-shard backlog *)
@@ -122,6 +128,7 @@ let make_shard () =
             c_req = dummy_request;
             c_deliver = null_deliver;
             c_submitted = 0.0;
+            c_deadline = infinity;
             c_seq = Atomic.make i;
           });
     mask = shard_capacity - 1;
@@ -133,28 +140,37 @@ let make_shard () =
   }
 
 let make_slot () =
-  { s_req = dummy_request; s_deliver = null_deliver; s_submitted = 0.0 }
+  {
+    s_req = dummy_request;
+    s_deliver = null_deliver;
+    s_submitted = 0.0;
+    s_deadline = infinity;
+  }
 
+(* The intake lock serialises every producer-side step and everything
+   that runs on slot 0's session: the fields marked "intake" below are
+   read and written only while holding it. *)
 type t = {
-  published : snapshot Atomic.t; (* swapped by the coordinator at appends *)
+  published : snapshot Atomic.t; (* swapped at appends, under intake *)
   num_domains : int;
-  sessions : Session.t array; (* slot 0 = coordinator, 1.. = workers *)
+  sessions : Session.t array; (* slot 0 = intake, 1.. = workers *)
   adopted : int Atomic.t array; (* per-slot adopted generation *)
-  mutable retired : snapshot list; (* coordinator-only; see [reclaim] *)
+  mutable retired : snapshot list; (* intake; see [reclaim] *)
   mutable workers : unit Domain.t array;
   shards : shard array; (* length num_domains - 1; shard k feeds slot k+1 *)
-  mutable rr : int; (* coordinator-only rotation seed for shard picks *)
-  inflight : int Atomic.t; (* submitted, not yet delivered *)
-  qmu : Mutex.t; (* coordinator's quiesce parking *)
+  intake : Mutex.t;
+  mutable rr : int; (* intake: rotation seed for shard picks *)
+  inflight : int Atomic.t; (* placed in a ring, not yet delivered *)
+  qmu : Mutex.t; (* drain's quiesce parking *)
   qcv : Condition.t;
-  coord_waiting : bool Atomic.t;
+  drain_waiting : bool Atomic.t;
   stop : bool Atomic.t;
-  mutable closed : bool;
+  mutable closed : bool; (* intake *)
   served : int Atomic.t array; (* per-slot requests executed *)
   busy_ns : int Atomic.t array; (* per-slot execution nanoseconds *)
   dispatch_wait : Metrics.Histogram.t;
   deliver_exn : exn option Atomic.t; (* first callback escape, for drain *)
-  coord_slot : slot;
+  intake_slot : slot; (* intake: claim scratch for helping *)
 }
 
 type domain_stat = {
@@ -173,45 +189,6 @@ let note_work t idx dt =
        (int_of_float ((dt *. 1e9) +. 0.5)))
 
 (* ------------------------------------------------------------------ *)
-(* Request execution (any domain, on that domain's private session)   *)
-(* ------------------------------------------------------------------ *)
-
-let materialize lat ids =
-  Array.map (fun v -> (Lattice.itemset lat v, Lattice.support lat v)) ids
-
-(* Every exception becomes [R_error]: a bad threshold in one request
-   must not poison the rest of the stream, and the serial comparison
-   path raises the identical exception, keeping digests stable. *)
-let execute session req =
-  try
-    match req with
-    | Find_itemsets { containing; minsup } ->
-      let ids = Session.itemset_ids ~containing session ~minsup in
-      R_items (materialize (Engine.lattice (Session.engine session)) ids)
-    | Count_itemsets { containing; minsup } ->
-      R_count (Session.count_itemsets ~containing session ~minsup)
-    | Essential_rules { containing; constraints; minsup; minconf } ->
-      R_rules
-        (Session.essential_rules ~containing ~constraints session ~minsup
-           ~minconf)
-    | All_rules { containing; constraints; minsup; minconf } ->
-      R_rules
-        (Session.all_rules ~containing ~constraints session ~minsup ~minconf)
-    | Single_consequent_rules { containing; minsup; minconf } ->
-      R_rules
-        (Session.single_consequent_rules ~containing session ~minsup ~minconf)
-    | Support_for_k_itemsets { containing; k } ->
-      R_level (Session.support_for_k_itemsets session ~containing ~k)
-    | Support_for_k_rules { involving; minconf; k } ->
-      R_level (Session.support_for_k_rules session ~involving ~minconf ~k)
-    | Boundary { target; constraints; minconf } ->
-      R_entries (Session.boundary ~constraints session ~target ~minconf)
-    | Append _ ->
-      (* appends fold on the coordinator inside [submit], never in a shard *)
-      R_error "Pool: append reached a worker"
-  with e -> R_error (Printexc.to_string e)
-
-(* ------------------------------------------------------------------ *)
 (* Snapshot adoption and reclamation                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -222,9 +199,8 @@ let execute session req =
    request submitted after an append can never execute on the
    pre-append snapshot) and again before parking, so an idle domain
    never pins a retired snapshot. [adopted.(idx)] is written only by
-   the slot's own domain (slot 0 by the coordinator inside the fold);
-   it is atomic so [reclaim] can read every slot from the
-   coordinator. *)
+   the slot's own domain (slot 0 inside the fold, under the intake
+   lock); it is atomic so [reclaim] can read every slot. *)
 let maybe_adopt t idx =
   let snap = Atomic.get t.published in
   if snap.gen > Atomic.get t.adopted.(idx) then begin
@@ -235,8 +211,8 @@ let maybe_adopt t idx =
 (* Drop every retired snapshot that no slot can still be executing on:
    once min(adopted) has advanced past gen g, no future claim can run
    on the gen-g snapshot (claims adopt forward, never backward), so it
-   is unreachable and the GC may have it. Coordinator-only — [retired]
-   is an ordinary mutable field. *)
+   is unreachable and the GC may have it. Under the intake lock —
+   [retired] is an ordinary mutable field. *)
 let reclaim t =
   match t.retired with
   | [] -> ()
@@ -264,6 +240,7 @@ let try_pop sh slot =
         slot.s_req <- cell.c_req;
         slot.s_deliver <- cell.c_deliver;
         slot.s_submitted <- cell.c_submitted;
+        slot.s_deadline <- cell.c_deadline;
         cell.c_req <- dummy_request;
         cell.c_deliver <- null_deliver;
         Atomic.set cell.c_seq (h + Array.length sh.ring);
@@ -275,14 +252,16 @@ let try_pop sh slot =
   in
   go ()
 
-(* Producer side; single-threaded by the coordinator invariant. *)
-let try_push sh req deliver now =
+(* Producer side; single-threaded because it runs under the intake
+   lock. *)
+let try_push sh req deliver deadline =
   let p = Atomic.get sh.tail in
   let cell = sh.ring.(p land sh.mask) in
   if Atomic.get cell.c_seq = p then begin
     cell.c_req <- req;
     cell.c_deliver <- deliver;
-    cell.c_submitted <- now;
+    cell.c_submitted <- Timer.monotonic_s ();
+    cell.c_deadline <- deadline;
     Atomic.set cell.c_seq (p + 1);
     Atomic.set sh.tail (p + 1);
     true
@@ -335,57 +314,136 @@ let wake_all t =
   Array.iter (fun sh -> if Atomic.get sh.parked then unpark sh) t.shards
 
 (* ------------------------------------------------------------------ *)
-(* Execution of a claimed request                                     *)
+(* Snapshot publication                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* The append path, and the one place the published pointer moves; it
+   runs on slot 0 under the intake lock. No quiesce: readers in flight
+   keep traversing the old snapshot (immutable, still referenced from
+   [retired]) while this builds and swaps in the new one. The fold
+   itself is the serial [Session.append] through slot 0's session — the
+   single mutation path, so pool appends and serial appends are the
+   same code. Publication order matters: the pointer swap precedes any
+   subsequent cell stamp, so every request submitted after this append
+   is claimed after the swap and adopts gen >= [snap.gen] (see
+   [maybe_adopt]). *)
+let publish_append t delta =
+  let promoted = Session.append t.sessions.(0) delta in
+  let engine = Session.engine t.sessions.(0) in
+  let old = Atomic.get t.published in
+  let snap =
+    {
+      gen = old.gen + 1;
+      engine;
+      views = Array.init (t.num_domains - 1) (fun _ -> Engine.view engine);
+    }
+  in
+  Atomic.set t.published snap;
+  Atomic.set t.adopted.(0) snap.gen;
+  t.retired <- old :: t.retired;
+  reclaim t;
+  (* parked workers have no next claim to adopt at — wake them all *)
+  wake_all t;
+  R_promoted { promoted; db_size = Engine.db_size engine }
+
+(* ------------------------------------------------------------------ *)
+(* Request execution (any domain, on that slot's private session)     *)
+(* ------------------------------------------------------------------ *)
+
+let materialize lat ids =
+  Array.map (fun v -> (Lattice.itemset lat v, Lattice.support lat v)) ids
+
+(* Every exception becomes [R_error]: a bad threshold in one request
+   must not poison the rest of the stream, and the serial comparison
+   path raises the identical exception, keeping digests stable. An
+   [Append] only ever reaches slot 0 under the intake lock — appends
+   never enter a ring. *)
+let execute t idx req =
+  let session = t.sessions.(idx) in
+  try
+    match req with
+    | Find_itemsets { containing; minsup } ->
+      let ids = Session.itemset_ids ~containing session ~minsup in
+      R_items (materialize (Engine.lattice (Session.engine session)) ids)
+    | Count_itemsets { containing; minsup } ->
+      R_count (Session.count_itemsets ~containing session ~minsup)
+    | Essential_rules { containing; constraints; minsup; minconf } ->
+      R_rules
+        (Session.essential_rules ~containing ~constraints session ~minsup
+           ~minconf)
+    | All_rules { containing; constraints; minsup; minconf } ->
+      R_rules
+        (Session.all_rules ~containing ~constraints session ~minsup ~minconf)
+    | Single_consequent_rules { containing; minsup; minconf } ->
+      R_rules
+        (Session.single_consequent_rules ~containing session ~minsup ~minconf)
+    | Support_for_k_itemsets { containing; k } ->
+      R_level (Session.support_for_k_itemsets session ~containing ~k)
+    | Support_for_k_rules { involving; minconf; k } ->
+      R_level (Session.support_for_k_rules session ~involving ~minconf ~k)
+    | Boundary { target; constraints; minconf } ->
+      R_entries (Session.boundary ~constraints session ~target ~minconf)
+    | Append delta -> publish_append t delta
+  with e -> R_error (Printexc.to_string e)
 
 let record_deliver_exn t e =
   ignore (Atomic.compare_and_set t.deliver_exn None (Some e))
 
-(* Retire one request: the last decrement wakes a coordinator that is
-   parked in [drain] waiting for the stream to go quiet. *)
+(* Retire one ring request: the last decrement wakes a thread parked in
+   [drain] waiting for the stream to go quiet. *)
 let finish_one t =
-  if Atomic.fetch_and_add t.inflight (-1) = 1 && Atomic.get t.coord_waiting
+  if Atomic.fetch_and_add t.inflight (-1) = 1 && Atomic.get t.drain_waiting
   then begin
     Mutex.lock t.qmu;
     Condition.signal t.qcv;
     Mutex.unlock t.qmu
   end
 
-(* The completion stamps the view the request actually executed on:
+(* Execute [req] on slot [idx] from [t0] and deliver it, or — when it
+   was claimed past its deadline — deliver it shed, unexecuted. The
+   completion stamps the view the request actually executed on:
    [adopted.(idx)] is written only by this slot's domain, so even if an
    append publishes mid-execution the recorded gen/epoch stay those of
    the snapshot this execution read. *)
+let complete t idx ~t0 ~wait_s ~deadline req deliver =
+  let expired = t0 > deadline in
+  let resp = if expired then shed_response else execute t idx req in
+  let latency_s =
+    if expired then 0.0 else Float.max 0.0 (Timer.monotonic_s () -. t0)
+  in
+  if not expired then note_work t idx latency_s;
+  let c =
+    {
+      latency_s;
+      wait_s;
+      expired;
+      epoch = Engine.epoch (Session.engine t.sessions.(idx));
+      gen = Atomic.get t.adopted.(idx);
+    }
+  in
+  try deliver resp c with e -> record_deliver_exn t e
+
 let exec_slot t idx slot =
   let req = slot.s_req and deliver = slot.s_deliver in
   slot.s_req <- dummy_request;
   slot.s_deliver <- null_deliver;
   let t0 = Timer.monotonic_s () in
-  Metrics.Histogram.observe t.dispatch_wait
-    (Float.max 0.0 (t0 -. slot.s_submitted));
-  let resp = execute t.sessions.(idx) req in
-  let dt = Float.max 0.0 (Timer.monotonic_s () -. t0) in
-  note_work t idx dt;
-  let c =
-    {
-      latency_s = dt;
-      epoch = Engine.epoch (Session.engine t.sessions.(idx));
-      gen = Atomic.get t.adopted.(idx);
-    }
-  in
-  (try deliver resp c with e -> record_deliver_exn t e);
+  let wait_s = Float.max 0.0 (t0 -. slot.s_submitted) in
+  Metrics.Histogram.observe t.dispatch_wait wait_s;
+  complete t idx ~t0 ~wait_s ~deadline:slot.s_deadline req deliver;
   finish_one t
 
-(* Coordinator-side help: claim and execute one queued request on the
-   coordinator's session. Keeps the caller's domain a full serving
-   participant during batch drains, and doubles as backpressure when
-   every ring is full. The coordinator is always on the latest
+(* Intake-side help, under the intake lock: claim and execute one
+   queued request on slot 0's session. Keeps the submitting threads'
+   domain a serving participant during drains, and doubles as
+   backpressure when every ring is full. Slot 0 is always on the latest
    snapshot (it is the one that publishes), so no adoption check. *)
 let help_one t =
   let n = Array.length t.shards in
   let rec scan k =
     if k >= n then false
-    else if try_pop t.shards.((t.rr + k) mod n) t.coord_slot then begin
-      exec_slot t 0 t.coord_slot;
+    else if try_pop t.shards.((t.rr + k) mod n) t.intake_slot then begin
+      exec_slot t 0 t.intake_slot;
       true
     end
     else scan (k + 1)
@@ -475,18 +533,19 @@ let create ?domains ?budget_bytes engine =
       retired = [];
       workers = [||];
       shards = Array.init (d - 1) (fun _ -> make_shard ());
+      intake = Mutex.create ();
       rr = 0;
       inflight = Atomic.make 0;
       qmu = Mutex.create ();
       qcv = Condition.create ();
-      coord_waiting = Atomic.make false;
+      drain_waiting = Atomic.make false;
       stop = Atomic.make false;
       closed = false;
       served = Array.init d (fun _ -> Atomic.make 0);
       busy_ns = Array.init d (fun _ -> Atomic.make 0);
       dispatch_wait;
       deliver_exn = Atomic.make None;
-      coord_slot = make_slot ();
+      intake_slot = make_slot ();
     }
   in
   t.workers <-
@@ -511,88 +570,41 @@ let shard_depths t =
   Array.map (fun sh -> max 0 (Atomic.get sh.tail - Atomic.get sh.head)) t.shards
 
 let retired_snapshots t =
-  reclaim t;
-  List.length t.retired
+  Mutex.protect t.intake (fun () ->
+      reclaim t;
+      List.length t.retired)
 
 (* ------------------------------------------------------------------ *)
 (* Quiesce                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Wait out every submitted request. The coordinator is the only
-   producer, so once it is in here intake has stopped; it helps drain
-   the shards, and only parks — on its own condvar, woken by whichever
-   domain retires the last request — for requests a worker already
-   claimed. *)
+(* Wait out every request in the rings. Runs under the intake lock, so
+   intake has stopped; it helps drain the shards, and only parks — on
+   its own condvar, woken by whichever domain retires the last request —
+   for requests a worker already claimed. *)
 let drain_quiet t =
   while help_one t do
     ()
   done;
   if Atomic.get t.inflight > 0 then begin
     Mutex.lock t.qmu;
-    Atomic.set t.coord_waiting true;
+    Atomic.set t.drain_waiting true;
     while Atomic.get t.inflight > 0 do
       Condition.wait t.qcv t.qmu
     done;
-    Atomic.set t.coord_waiting false;
+    Atomic.set t.drain_waiting false;
     Mutex.unlock t.qmu
   end
 
 let drain t =
-  drain_quiet t;
-  match Atomic.get t.deliver_exn with
-  | Some e ->
-    Atomic.set t.deliver_exn None;
-    raise e
+  Mutex.protect t.intake (fun () -> drain_quiet t);
+  match Atomic.exchange t.deliver_exn None with
+  | Some e -> raise e
   | None -> ()
-
-(* Snapshot publication — the append path, and the one place the
-   published pointer moves. No quiesce: readers in flight keep
-   traversing the old snapshot (immutable, still referenced from
-   [retired]) while this builds and swaps in the new one. The fold
-   itself is the serial [Session.append] through the coordinator's
-   session — the single mutation path, so pool appends and serial
-   appends are the same code. Publication order matters: the pointer
-   swap precedes any subsequent cell stamp, so every request submitted
-   after this append is claimed after the swap and adopts gen >=
-   [snap.gen] (see [maybe_adopt]). *)
-let publish_append t delta =
-  let promoted = Session.append t.sessions.(0) delta in
-  let engine = Session.engine t.sessions.(0) in
-  let old = Atomic.get t.published in
-  let snap =
-    {
-      gen = old.gen + 1;
-      engine;
-      views = Array.init (t.num_domains - 1) (fun _ -> Engine.view engine);
-    }
-  in
-  Atomic.set t.published snap;
-  Atomic.set t.adopted.(0) snap.gen;
-  t.retired <- old :: t.retired;
-  reclaim t;
-  (* parked workers have no next claim to adopt at — wake them all *)
-  wake_all t;
-  R_promoted { promoted; db_size = Engine.db_size engine }
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Execute synchronously on the coordinator (1-domain pools, append
-   folds): no shard crossed, so no dispatch wait is observed. *)
-let inline_exec t run_req deliver =
-  let t0 = Timer.monotonic_s () in
-  let resp = run_req () in
-  let dt = Float.max 0.0 (Timer.monotonic_s () -. t0) in
-  note_work t 0 dt;
-  let c =
-    {
-      latency_s = dt;
-      epoch = Engine.epoch (Session.engine t.sessions.(0));
-      gen = Atomic.get t.adopted.(0);
-    }
-  in
-  try deliver resp c with e -> record_deliver_exn t e
 
 let pick_shard t =
   let n = Array.length t.shards in
@@ -610,51 +622,54 @@ let pick_shard t =
   done;
   !best
 
-let submit_exn t msg req deliver =
-  if t.closed then invalid_arg msg;
-  match req with
-  | Append delta ->
-    (* non-blocking: fold and publish while reads stay in flight *)
-    inline_exec t
-      (fun () ->
-        try publish_append t delta with e -> R_error (Printexc.to_string e))
-      deliver
-  | _ ->
-    if t.num_domains = 1 then
-      inline_exec t (fun () -> execute t.sessions.(0) req) deliver
-    else begin
-      ignore (Atomic.fetch_and_add t.inflight 1);
-      let now = Timer.monotonic_s () in
-      let rec push () =
-        let k = pick_shard t in
-        if try_push t.shards.(k) req deliver now then wake t k
-        else if help_one t then push ()
-          (* every ring full: drained one request inline (backpressure),
-             a slot is free somewhere now *)
-        else begin
-          (* full rings but nothing claimable — consumers hold claims
-             mid-copy; yield and re-probe *)
-          Domain.cpu_relax ();
-          push ()
-        end
-      in
-      push ()
-    end
+(* Under the intake lock. Appends and 1-domain pools run inline on
+   slot 0 — no ring crossed, so no dispatch wait is observed; everything
+   else is placed into the least-loaded ring. *)
+let place t req deliver deadline =
+  let inline =
+    t.num_domains = 1 || match req with Append _ -> true | _ -> false
+  in
+  if inline then
+    complete t 0 ~t0:(Timer.monotonic_s ()) ~wait_s:0.0 ~deadline req deliver
+  else begin
+    ignore (Atomic.fetch_and_add t.inflight 1);
+    let rec push () =
+      let k = pick_shard t in
+      if try_push t.shards.(k) req deliver deadline then wake t k
+      else if help_one t then push ()
+        (* every ring full: drained one request inline (backpressure),
+           a slot is free somewhere now *)
+      else begin
+        (* full rings but nothing claimable — consumers hold claims
+           mid-copy; yield and re-probe *)
+        Domain.cpu_relax ();
+        push ()
+      end
+    in
+    push ()
+  end
 
-let submit t req deliver = submit_exn t "Pool.submit: pool is shut down" req deliver
+let submit ?(deadline = infinity) t req deliver =
+  Mutex.lock t.intake;
+  if t.closed then begin
+    Mutex.unlock t.intake;
+    invalid_arg "Pool.submit: pool is shut down"
+  end;
+  place t req deliver deadline;
+  Mutex.unlock t.intake
 
 let shutdown t =
-  if not t.closed then begin
+  Mutex.lock t.intake;
+  let first = not t.closed in
+  if first then begin
     t.closed <- true;
     (* retire anything already submitted before stopping the loops *)
-    drain_quiet t;
+    drain_quiet t
+  end;
+  Mutex.unlock t.intake;
+  if first then begin
     Atomic.set t.stop true;
-    Array.iter
-      (fun sh ->
-        Mutex.lock sh.pmu;
-        Condition.broadcast sh.pcv;
-        Mutex.unlock sh.pmu)
-      t.shards;
+    Array.iter unpark t.shards;
     Array.iter Domain.join t.workers;
     t.workers <- [||]
   end
@@ -664,49 +679,27 @@ let with_pool ?domains ?budget_bytes engine f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* ------------------------------------------------------------------ *)
-(* Batch wrappers                                                     *)
+(* Batch helper                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_msg = "Pool.run: pool is shut down"
-
-(* The batch wrappers keep the old sequential semantics on top of
-   non-blocking appends by draining before each [Append] submission:
-   within one batch, every request before an append executes on the
-   pre-append snapshot and every request after it on the post-append
-   one — exactly what a serial [Session] does, so positional digest
-   equality against serial execution still holds. Streaming callers
-   that want appends to overlap reads use {!submit} directly. *)
-let run_with t ~deliver reqs =
-  if t.closed then invalid_arg run_msg;
-  let n = Array.length reqs in
-  let out = Array.make n (R_error "not executed", 0.0) in
-  for i = 0 to n - 1 do
-    (match reqs.(i) with Append _ -> drain_quiet t | _ -> ());
-    submit_exn t run_msg reqs.(i) (fun resp c ->
-        let r = (resp, c.latency_s) in
-        out.(i) <- r;
-        deliver i r)
-  done;
-  drain_quiet t;
+(* Keeps the old sequential semantics on top of non-blocking appends by
+   draining before each [Append] submission: within one batch, every
+   request before an append executes on the pre-append snapshot and
+   every request after it on the post-append one — exactly what a
+   serial [Session] does, so positional digest equality against serial
+   execution still holds. Streaming callers that want appends to
+   overlap reads use {!submit} directly. *)
+let run_timed t reqs =
+  if t.closed then invalid_arg "Pool.run: pool is shut down";
+  let out = Array.make (Array.length reqs) (R_error "not executed", 0.0) in
+  Array.iteri
+    (fun i req ->
+      (match req with Append _ -> drain t | _ -> ());
+      submit t req (fun resp c -> out.(i) <- (resp, c.latency_s)))
+    reqs;
   (* every completion's inflight decrement happened-before the drain's
      zero read, so the [out] writes are visible here *)
+  drain t;
   out
 
-let no_deliver _ _ = ()
-let run_timed t reqs = run_with t ~deliver:no_deliver reqs
 let run t reqs = Array.map fst (run_timed t reqs)
-
-(* Per-completion delivery. The callback runs on whichever domain
-   finishes the request, so it must be domain-safe; a callback that
-   raises must not kill a worker loop, so exceptions are caught at the
-   delivery site and the first one re-raised on the caller's domain
-   after the batch. *)
-let run_deliver t ~on_complete reqs =
-  let first_exn = Atomic.make None in
-  let deliver i r =
-    try on_complete i r
-    with e -> ignore (Atomic.compare_and_set first_exn None (Some e))
-  in
-  let out = run_with t ~deliver reqs in
-  (match Atomic.get first_exn with Some e -> raise e | None -> ());
-  out

@@ -15,8 +15,8 @@
     - telemetry is shared safely: all sessions bump the same atomic
       {!Olar_obs.Metrics} instruments, and tracing is sharded per
       domain ({!Olar_obs.Trace.Sharded}): each domain's spans land in
-      its own buffer, domain-tagged, and merge into the sink when the
-      coordinator calls {!Olar_obs.Obs.flush}.
+      its own buffer, domain-tagged, and merge into the sink when one
+      thread calls {!Olar_obs.Obs.flush}.
 
     {2 Continuous dispatch}
 
@@ -28,23 +28,34 @@
     sibling shards, and only parks — on its own condvar, nobody else's —
     when every shard is empty. Waking is therefore one signal to one
     domain; there is no global broadcast and no batch barrier between
-    requests. The submitting thread is the {e coordinator}: exactly one
-    thread may call {!submit} / {!run} / {!drain} on a pool (the
-    single-producer invariant of the shard rings). When every shard is
-    full, {!submit} applies backpressure by executing one queued
-    request inline on the coordinator's own session before retrying.
+    requests.
+
+    Any thread on any domain may call {!submit}, {!drain} and the other
+    entry points concurrently. One {e intake lock} inside the pool
+    serialises every producer-side step (shard pick, ring push, wake),
+    so each ring keeps its single-producer protocol, and everything
+    that runs on slot 0's session: append folds and publication,
+    inline execution in a 1-domain pool, backpressure, and the helping
+    in {!drain}. Slot 0 belongs to no thread; whoever holds the lock
+    runs on it. When every shard is full, {!submit} applies
+    backpressure by executing one queued request inline on slot 0
+    before retrying — the pool can never be outrun by its own intake.
+    A fold therefore holds the lock for its whole duration, and other
+    submitters wait for it.
 
     {2 Snapshot publication (non-blocking appends)}
 
-    An {!Append} does {b not} quiesce the pool. The coordinator folds
-    the delta through its own serial {!Session.append} — the single
+    An {!Append} does {b not} quiesce the pool. The submitter folds
+    the delta on slot 0 through the serial {!Session.append} — the single
     mutation path — into a {e new} immutable engine, wraps it with one
     {!Olar_core.Engine.view} per worker as a {e snapshot} (generation
     [g+1]), and publishes it with a single atomic pointer swap. Reads
     in flight keep traversing the old snapshot untouched; a worker
     adopts the newest published snapshot at its next claim (and before
-    parking), so reads never block on an append and an append never
-    waits for reads — RCU over the lattice's immutability invariant.
+    parking), so reads in flight never block on an append and an append
+    never waits for reads — RCU over the lattice's immutability
+    invariant. (Submitting during a fold does wait: see the intake lock
+    above.)
     Retired snapshots are reclaimed by generation: each slot records
     the generation it has adopted, and a retired snapshot is dropped
     once every slot has advanced past it (no future claim can reach it,
@@ -52,11 +63,11 @@
 
     Ordering is still deterministic where it matters: the pointer swap
     happens before the append's {!submit} returns, so every request
-    submitted {e after} an append executes on generation [>= g+1]
+    submitted {e after} that return executes on generation [>= g+1]
     (the claim's stamp read pairs with the publish). Each completion
     records the generation and engine epoch its request actually
     executed on, which is what the differential tests check digests
-    against. The batch wrappers ({!run} and friends) additionally drain
+    against. The batch helpers ({!run}, {!run_timed}) additionally drain
     before each [Append], preserving the old sequential semantics —
     positional digest equality with a serial {!Session} — for batch
     callers and capture replay.
@@ -119,14 +130,20 @@ type response =
 
 (** What a delivery callback learns about the execution it is being
     handed: [latency_s] is the execution seconds (claim-to-completion,
-    shard wait excluded); [gen] is the snapshot generation the request
-    executed on (0 before any append, +1 per append); [epoch] is the
-    {!Olar_core.Engine.epoch} of that snapshot's engine — the value a
-    capture records, taken from the {b executing} domain's adopted
-    view, never from a coordinator that may already have published a
-    newer one. *)
+    shard wait excluded; [0.] when expired); [wait_s] is the seconds
+    between the request being placed in a shard and a domain claiming
+    it ([0.] for inline execution); [expired] is true when the request
+    was claimed past its [deadline] and shed unexecuted — the response
+    is then [R_error "deadline exceeded"]; [gen] is the snapshot
+    generation the request executed on (0 before any append, +1 per
+    append); [epoch] is the {!Olar_core.Engine.epoch} of that
+    snapshot's engine — the value a capture records, taken from the
+    {b executing} domain's adopted view, never from a later published
+    one. *)
 type completion = {
   latency_s : float;
+  wait_s : float;
+  expired : bool;
   epoch : int;
   gen : int;
 }
@@ -148,9 +165,9 @@ val create : ?domains:int -> ?budget_bytes:int -> Olar_core.Engine.t -> t
 val domains : t -> int
 
 (** [engine t] is the currently published snapshot's engine (replaced
-    at every append). Racy by design when read off the coordinator
-    thread: a worker mid-request may still be executing on an older
-    snapshot — per-response state belongs in {!completion}. *)
+    at every append). Racy by design: a worker mid-request may still be
+    executing on an older snapshot — per-response state belongs in
+    {!completion}. *)
 val engine : t -> Olar_core.Engine.t
 
 (** [generation t] is the currently published snapshot generation: 0
@@ -159,34 +176,40 @@ val generation : t -> int
 
 (** {1 Continuous submission}
 
-    The hot path of the {!Olar_net.Server} drainer: one request in, one
-    callback out, no batch arrays in between. *)
+    The hot path of every {!Olar_net.Server} connection thread: one
+    request in, one callback out, no batch arrays in between. *)
 
 (** [submit t req k] dispatches [req] into a worker shard and returns
-    immediately; [k resp c] fires when the request completes, on
+    once it is placed; [k resp c] fires when the request completes, on
     {b whichever domain} executed it, with [c] the {!completion} for
-    that execution. Coordinator-only (the single-producer invariant
-    above); callbacks must be domain-safe and fast, and should not
-    raise — an exception from [k] is recorded and re-raised at the next
-    {!drain}, never propagated into a worker loop. An [Append] is
-    folded and published (and delivered) synchronously before [submit]
-    returns, {b without} waiting for in-flight reads — they complete on
-    the old snapshot; with [domains = 1] every request is synchronous.
+    that execution. Safe from any thread (see the intake lock above);
+    it blocks while another submitter holds the lock, e.g. during a
+    fold. Callbacks must be domain-safe and fast, must not call back
+    into the pool, and should not raise — an exception from [k] is
+    recorded and re-raised at the next {!drain}, never propagated into
+    a worker loop. An [Append] is folded and published (and delivered)
+    synchronously before [submit] returns, {b without} waiting for
+    in-flight reads — they complete on the old snapshot; with
+    [domains = 1] every request is synchronous.
+    @param deadline absolute {!Olar_util.Timer.monotonic_s} time; a
+      request claimed after it is not executed and its completion has
+      [expired = true]. Default: none.
     Raises [Invalid_argument] after {!shutdown}. *)
-val submit : t -> request -> (response -> completion -> unit) -> unit
+val submit :
+  ?deadline:float -> t -> request -> (response -> completion -> unit) -> unit
 
-(** [drain t] blocks until every submitted request has delivered. While
-    shards are non-empty the coordinator executes queued requests
-    itself (it only parks for requests already claimed by a worker), so
-    a drain is never slower than serial execution of the backlog.
-    Re-raises the first callback exception recorded since the last
-    drain, after the pool is quiet. *)
+(** [drain t] blocks until every submitted request has delivered,
+    holding off new submissions meanwhile. While shards are non-empty
+    the draining thread executes queued requests itself on slot 0 (it
+    only parks for requests already claimed by a worker), so a drain is
+    never slower than serial execution of the backlog. Re-raises the
+    first callback exception recorded since the last drain, after the
+    pool is quiet. *)
 val drain : t -> unit
 
-(** {1 Batch wrappers}
+(** {1 Batch helpers}
 
-    Thin compatibility layers over {!submit} + {!drain}; same
-    coordinator-only constraint. Unlike raw {!submit}, the wrappers
+    Thin layers over {!submit} + {!drain}. Unlike raw {!submit}, they
     drain before each [Append] in the batch, so a batch keeps the
     sequential semantics of a serial {!Session}: responses are
     positionally digest-equal to serial execution of the same array. *)
@@ -201,38 +224,16 @@ val run : t -> request array -> response array
     the time from a domain claiming the request to its completion). *)
 val run_timed : t -> request array -> (response * float) array
 
-(** [run_deliver t ~on_complete reqs] is {!run_timed} with
-    per-completion delivery: [on_complete i (resp, dt)] fires the
-    moment request [i] finishes, on {b whichever domain} executed it —
-    possibly concurrently with other completions and in any order. The
-    returned array is still the full batch in submission order
-    ([out.(i)] answers [reqs.(i)], always), so the two views are
-    redundant by construction; the callback exists for callers that
-    unblock per-request waiters without paying the whole batch's tail
-    latency first.
-
-    Constraints on [on_complete] are those of {!submit}'s callback. It
-    is called exactly once per request, including [Append]s (delivered
-    by the coordinator) and [R_error] responses. If it raises, the
-    exception is swallowed at the delivery site — letting it escape
-    would kill a worker loop — and the first such exception is
-    re-raised on the caller's domain after the batch completes. *)
-val run_deliver :
-  t ->
-  on_complete:(int -> response * float -> unit) ->
-  request array ->
-  (response * float) array
-
 (** {1 Introspection} *)
 
-(** [stats t] is each domain's session-cache accounting, index 0 the
-    coordinator. *)
+(** [stats t] is each slot's session-cache accounting, index 0 the
+    intake slot. *)
 val stats : t -> Session.stats array
 
 (** Cumulative execution accounting for one pool slot: how many
     requests the slot has executed since {!create} and the seconds it
     spent executing them (claim-to-completion, shard wait excluded).
-    Appends are charged to the coordinator (slot 0). Internally the
+    Appends are charged to slot 0. Internally the
     seconds accumulate as integer nanoseconds under
     [Atomic.fetch_and_add] — no CAS retry under contention — and
     convert on read. *)
@@ -242,7 +243,7 @@ type domain_stat = {
 }
 
 (** [domain_stats t] samples each slot's accounting, index 0 the
-    coordinator. Safe to call from any thread at any time; each field
+    intake slot. Safe to call from any thread at any time; each field
     is an independent atomic read. *)
 val domain_stats : t -> domain_stat array
 
@@ -262,8 +263,8 @@ val shard_depths : t -> int array
 
 (** [retired_snapshots t] is the number of superseded snapshots not yet
     reclaimed — published generations some domain may still be reading.
-    Runs a reclamation sweep first, so the count reflects current
-    adoption. Coordinator-only (it mutates the retired list). Converges
+    Runs a reclamation sweep first (under the intake lock), so the
+    count reflects current adoption. Converges
     to 0 once every domain has claimed a request or parked since the
     last append. *)
 val retired_snapshots : t -> int

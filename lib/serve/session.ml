@@ -664,7 +664,7 @@ let append ?domains t delta =
   promoted
 
 (* Adopt an engine built elsewhere. The pool folds an append delta once
-   on the coordinator and publishes the result as a snapshot; each
+   on slot 0 and publishes the result as a snapshot; each
    worker session adopts its per-domain view of that snapshot at its
    next claim. The new epoch makes the old entries unservable exactly
    as in [append]. *)

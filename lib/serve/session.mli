@@ -167,7 +167,7 @@ val append : ?domains:int -> t -> Database.t -> Itemset.t list
 (** [adopt_engine t engine] swaps [engine] into the session without
     running an append — used by {!Pool} when a worker adopts a newly
     published snapshot at its next claim: the append delta is folded
-    once on the coordinator and each worker session then adopts its
+    once on slot 0 and each worker session then adopts its
     {!Olar_core.Engine.view} of the published engine. Cache
     consequences are the same as {!append}: entries stamped with the
     old epoch stop being servable. *)

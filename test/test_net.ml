@@ -823,8 +823,8 @@ let test_trace_sampling () =
         children)
     roots
 
-(* With a (practically) zero deadline, queued queries are dropped by
-   the drainer with 503 before any pool work is spent on them. *)
+(* With a (practically) zero deadline, queries are claimed past it and
+   shed with 503 before any pool work is spent on them. *)
 let test_deadline_sheds_with_503 () =
   Server.with_server
     ~config:{ default_cfg with Server.port = 0; deadline_s = 1e-7 }
@@ -846,6 +846,211 @@ let test_deadline_sheds_with_503 () =
         (float_of_int !sheds)
         (metric_value m.Http.resp_body "olar_http_shed_deadline_total");
       disconnect conn)
+
+(* ------------------------------------------------------------------ *)
+(* Concurrent connections, graceful stop, connection bookkeeping      *)
+(* ------------------------------------------------------------------ *)
+
+let append_key =
+  {|{"kind":"append","delta":[[0,1,2],[1,2],[1,3],[2]],"num_items":4}|}
+
+let read_keys =
+  [|
+    {|{"kind":"count","minsup":0.003}|};
+    {|{"kind":"find","minsup":0.003}|};
+    {|{"kind":"essential_rules","minsup":0.003,"minconf":0.3}|};
+    {|{"kind":"boundary","containing":[0,1,2],"minconf":0.3}|};
+  |]
+
+let pool_request key =
+  match Result.bind (Record.key_of_json_line key) Replay.request_of_record with
+  | Ok req -> req
+  | Error e -> Alcotest.failf "bad key %s: %s" key e
+
+(* [serial_digests appends] is the serial answer to every read key at
+   every generation 0..appends: digest.(g).(k) answers read_keys.(k)
+   after g appends, computed on a 1-domain pool (inline, serial). *)
+let serial_digests appends =
+  let reads = Array.map pool_request read_keys in
+  let append = pool_request append_key in
+  let per_gen = Array.length reads in
+  let batch =
+    Array.concat
+      (List.init (appends + 1) (fun g ->
+           if g = 0 then reads else Array.append [| append |] reads))
+  in
+  let out =
+    Olar_serve.Pool.with_pool ~domains:1 (table2_engine ()) (fun pool ->
+        Olar_serve.Pool.run pool batch)
+  in
+  Array.init (appends + 1) (fun g ->
+      Array.init per_gen (fun k ->
+          let i =
+            if g = 0 then k else per_gen + ((g - 1) * (per_gen + 1)) + 1 + k
+          in
+          match Replay.digest_response out.(i) with
+          | Some d -> Fnv.to_hex d
+          | None -> Alcotest.fail "serial read failed"))
+
+(* Three reader connections query while a fourth appends. A read's
+   generation is only known to lie between the appends acknowledged
+   before it was sent and the appends sent before it returned — the
+   window perfbench's ingest workload checks — so its digest must equal
+   the serial answer at some generation in that window. *)
+let test_concurrent_connections () =
+  let appends = 6 and readers = 3 and per_reader = 40 in
+  let expected = serial_digests appends in
+  check Alcotest.bool "appends move the answers" true
+    (expected.(0) <> expected.(appends));
+  let sent = Atomic.make 0 and acked = Atomic.make 0 in
+  let bad = Atomic.make 0 in
+  Server.with_server
+    ~config:{ default_cfg with Server.port = 0 }
+    ~domains:3 (table2_engine ())
+    (fun srv ->
+      let port = Server.port srv in
+      let appender () =
+        let conn = connect port in
+        for _ = 1 to appends do
+          Atomic.incr sent;
+          let r = post_query conn append_key in
+          if r.Http.status = 200 then Atomic.incr acked else Atomic.incr bad;
+          Thread.delay 0.002
+        done;
+        disconnect conn
+      in
+      let reader ri () =
+        let conn = connect port in
+        for i = 1 to per_reader do
+          let k = (ri + i) mod Array.length read_keys in
+          let lo = Atomic.get acked in
+          let r = post_query conn read_keys.(k) in
+          let hi = Atomic.get sent in
+          let ok =
+            r.Http.status = 200
+            &&
+            let d = json_str r "digest" in
+            List.exists
+              (fun g -> expected.(g).(k) = d)
+              (List.init (hi - lo + 1) (fun j -> lo + j))
+          in
+          if not ok then Atomic.incr bad
+        done;
+        disconnect conn
+      in
+      let threads =
+        Thread.create appender ()
+        :: List.init readers (fun ri -> Thread.create (reader ri) ())
+      in
+      List.iter Thread.join threads);
+  check Alcotest.int "every append acknowledged" appends (Atomic.get acked);
+  check Alcotest.int "every read exact at a generation in its window" 0
+    (Atomic.get bad)
+
+(* One query on [conn]: [Some status] (and the body) or [None] once the
+   server has closed the connection. *)
+let try_query conn body =
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Http.parse_response (Buffer.contents conn.buf) ~off:conn.off with
+    | Http.Complete (resp, used) ->
+      conn.off <- conn.off + used;
+      Some resp
+    | Http.Failed _ -> None
+    | Http.Incomplete -> (
+      match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+      | 0 -> None
+      | n ->
+        Buffer.add_subbytes conn.buf chunk 0 n;
+        go ())
+  in
+  let req = Http.render_request ~meth:"POST" ~target:"/query" body in
+  match send_all conn req with
+  | () -> ( try go () with Unix.Unix_error _ -> None)
+  | exception Unix.Unix_error _ -> None
+
+(* [stop] while clients keep queries in flight: every answer is a
+   correct 200 or a shutdown 503, every client ends on a 503 or a
+   closed connection, and stop returns — nothing hangs. *)
+let test_graceful_stop_under_load () =
+  let clients = 4 in
+  let body = {|{"kind":"count","minsup":0.003}|} in
+  let srv =
+    Server.create ~config:{ default_cfg with Server.port = 0 } ~domains:2
+      (table2_engine ())
+  in
+  let port = Server.port srv in
+  let expected =
+    let conn = connect port in
+    let d = json_str (post_query conn body) "digest" in
+    disconnect conn;
+    d
+  in
+  let served = Atomic.make 0 and refused = Atomic.make 0 in
+  let closed = Atomic.make 0 and wrong = Atomic.make 0 in
+  let client () =
+    let conn = connect port in
+    let rec loop () =
+      match try_query conn body with
+      | None -> Atomic.incr closed
+      | Some r when r.Http.status = 503 -> Atomic.incr refused
+      | Some r ->
+        if r.Http.status = 200 && json_str r "digest" = expected then
+          Atomic.incr served
+        else Atomic.incr wrong;
+        loop ()
+    in
+    loop ();
+    disconnect conn
+  in
+  let threads = List.init clients (fun _ -> Thread.create client ()) in
+  while Atomic.get served < 200 do
+    Thread.delay 0.001
+  done;
+  Server.stop srv;
+  List.iter Thread.join threads;
+  check Alcotest.int "no wrong answers" 0 (Atomic.get wrong);
+  check Alcotest.int "every client ended on a 503 or a close" clients
+    (Atomic.get refused + Atomic.get closed)
+
+(* Connection bookkeeping: a connection's entry goes when its thread
+   exits, so after 200 short connections the only live one /statusz
+   counts is the probe asking. *)
+let test_connections_are_forgotten () =
+  Server.with_server
+    ~config:{ default_cfg with Server.port = 0 }
+    (table2_engine ())
+    (fun srv ->
+      let port = Server.port srv in
+      for _ = 1 to 200 do
+        disconnect (connect port)
+      done;
+      let counters () =
+        let conn = connect port in
+        let sz = request conn ~meth:"GET" ~target:"/statusz" "" in
+        disconnect conn;
+        let num name =
+          match
+            Result.to_option (Jsonx.of_string sz.Http.resp_body)
+            |> Fun.flip Option.bind (Jsonx.path [ "counters"; name ])
+            |> Fun.flip Option.bind Jsonx.number
+          with
+          | Some f -> int_of_float f
+          | None -> Alcotest.failf "statusz lacks counters.%s" name
+        in
+        (num "connections", num "connections_open")
+      in
+      let rec settle n =
+        let total, live = counters () in
+        if (total > 200 && live = 1) || n = 0 then (total, live)
+        else begin
+          Thread.delay 0.01;
+          settle (n - 1)
+        end
+      in
+      let total, live = settle 500 in
+      check Alcotest.bool "every connection was accepted" true (total > 200);
+      check Alcotest.int "only the probe's own connection is live" 1 live)
 
 (* ------------------------------------------------------------------ *)
 (* Health grading and the status client                                *)
@@ -1261,6 +1466,10 @@ let suites =
         case "HEAD mirrors GET without a body" test_head_requests;
         case "phase attribution and statusz" test_phase_attribution_and_statusz;
         case "trace sampling emits request trees" test_trace_sampling;
+        case "readers and an appender on concurrent connections"
+          test_concurrent_connections;
+        case "graceful stop under load" test_graceful_stop_under_load;
+        case "closed connections are forgotten" test_connections_are_forgotten;
       ] );
     ( "net.health",
       [

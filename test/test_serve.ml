@@ -350,16 +350,18 @@ let pool_request_gen ~num_items ~db_size ~threshold =
       (1, map (fun d -> Pool.Append d) (delta_gen ~num_items));
     ]
 
-let pool_scenario_gen =
+let pool_scenario_gen_of n =
   let open QCheck2.Gen in
   let* db = Helpers.db_gen in
   let* threshold = int_range 1 3 in
   let* reqs =
-    list_repeat 500
+    list_repeat n
       (pool_request_gen ~num_items:(Database.num_items db)
          ~db_size:(Database.size db) ~threshold)
   in
   return (db, threshold, reqs)
+
+let pool_scenario_gen = pool_scenario_gen_of 500
 
 let pool_scenario_print (db, threshold, reqs) =
   let appends =
@@ -444,31 +446,25 @@ let pool_differential_uncached_prop =
     ~print:pool_scenario_print pool_scenario_gen
     (run_pool_differential ~budget_bytes:0)
 
-(* The same differential through the continuous path, now epoch-aware:
-   every request is [Pool.submit]ted with no drain in between, and an
-   [Append] publishes a new snapshot without quiescing — so a read
-   submitted before an append may legitimately execute on either side
-   of it. The oracle is therefore per-generation: a first serial pass
-   folds the appends once, snapshotting the (immutable) engine after
-   each fold; the pooled pass records each response's completion
-   generation; a second serial pass re-executes every read against the
-   exact generation the pool says it ran on and demands bitwise-equal
-   digests. Appends themselves stay positional (the coordinator folds
-   them in submission order), and each read's recorded generation must
-   be at least the number of appends submitted before it — the
-   publish-before-push ordering the pool guarantees. *)
-let run_pool_stream_differential ~budget_bytes (db, threshold, reqs) =
-  let reqs = Array.of_list reqs in
-  let n = Array.length reqs in
-  let lat = lattice_of db ~threshold in
-  (* serial pass 1: fold appends, snapshotting each generation *)
+(* The epoch oracle for streams where appends overlap reads. A serial
+   pass folds the appends of [reqs] once, in order, snapshotting the
+   (immutable) engine after each fold. [ok i resp g] then says whether
+   the pooled response to [reqs.(i)], recorded at generation [g], is
+   exact: an append must land on its own fold's generation with the
+   serial digest; a read must digest equal to serial execution against
+   generation [g]'s engine. [gen_before.(i)] is the generation the
+   appends before position [i] publish — a read's lower bound when the
+   same producer submitted them first. *)
+let epoch_oracle ~budget_bytes lat reqs =
   let fold_session = Session.create ~budget_bytes:0 (Engine.of_lattice lat) in
   let engines = ref [ Session.engine fold_session ] in
   let append_digest = Hashtbl.create 8 in
   let append_gen = Hashtbl.create 8 in
+  let gen_before = Array.make (Array.length reqs) 0 in
   let gens = ref 0 in
   Array.iteri
     (fun i req ->
+      gen_before.(i) <- !gens;
       match req with
       | Pool.Append _ ->
         let resp = serial_execute fold_session req in
@@ -484,27 +480,7 @@ let run_pool_stream_differential ~budget_bytes (db, threshold, reqs) =
       | _ -> ())
     reqs;
   let engines = Array.of_list (List.rev !engines) in
-  let total_gens = !gens in
-  (* generation lower bound per position: appends submitted before it *)
-  let appends_before = Array.make (max n 1) 0 in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    appends_before.(i) <- !acc;
-    match reqs.(i) with
-    | Pool.Append _ -> acc := Hashtbl.find append_gen i
-    | _ -> ()
-  done;
-  (* pooled pass: stream everything, no drains, appends fully live *)
-  let out = Array.make n (Pool.R_error "unserved", -1) in
-  Pool.with_pool ~domains:4 ~budget_bytes (Engine.of_lattice lat)
-    (fun pool ->
-      Array.iteri
-        (fun i req ->
-          Pool.submit pool req (fun resp c -> out.(i) <- (resp, c.Pool.gen)))
-        reqs;
-      Pool.drain pool);
-  (* serial pass 2: replay each read at its recorded generation *)
-  let sessions = Array.make (total_gens + 1) None in
+  let sessions = Array.make (Array.length engines) None in
   let session_at g =
     match sessions.(g) with
     | Some s -> s
@@ -513,23 +489,46 @@ let run_pool_stream_differential ~budget_bytes (db, threshold, reqs) =
       sessions.(g) <- Some s;
       s
   in
-  let ok = ref true in
+  let ok i resp g =
+    match reqs.(i) with
+    | Pool.Append _ ->
+      digest_of_response resp = Hashtbl.find append_digest i
+      && g = Hashtbl.find append_gen i
+    | req ->
+      g >= 0
+      && g < Array.length engines
+      && digest_of_response resp
+         = digest_of_response (serial_execute (session_at g) req)
+  in
+  (ok, gen_before)
+
+(* The same differential through the continuous path, now epoch-aware:
+   every request is [Pool.submit]ted with no drain in between, and an
+   [Append] publishes a new snapshot without quiescing — so a read
+   submitted before an append may legitimately execute on either side
+   of it. Each response is checked by the epoch oracle at the
+   generation its completion recorded, and that generation must be at
+   least the number of appends submitted before it — the
+   publish-before-push ordering the pool guarantees. *)
+let run_pool_stream_differential ~budget_bytes (db, threshold, reqs) =
+  let reqs = Array.of_list reqs in
+  let lat = lattice_of db ~threshold in
+  let ok, gen_before = epoch_oracle ~budget_bytes lat reqs in
+  (* pooled pass: stream everything, no drains, appends fully live *)
+  let out = Array.make (Array.length reqs) (Pool.R_error "unserved", -1) in
+  Pool.with_pool ~domains:4 ~budget_bytes (Engine.of_lattice lat)
+    (fun pool ->
+      Array.iteri
+        (fun i req ->
+          Pool.submit pool req (fun resp c -> out.(i) <- (resp, c.Pool.gen)))
+        reqs;
+      Pool.drain pool);
+  let good = ref true in
   Array.iteri
-    (fun i req ->
-      let resp, g = out.(i) in
-      match req with
-      | Pool.Append _ ->
-        if digest_of_response resp <> Hashtbl.find append_digest i then
-          ok := false;
-        if g <> Hashtbl.find append_gen i then ok := false
-      | _ ->
-        if g < appends_before.(i) || g > total_gens then ok := false
-        else if
-          digest_of_response resp
-          <> digest_of_response (serial_execute (session_at g) req)
-        then ok := false)
-    reqs;
-  !ok
+    (fun i (resp, g) ->
+      if not (ok i resp g && g >= gen_before.(i)) then good := false)
+    out;
+  !good
 
 let pool_stream_differential_prop =
   QCheck2.Test.make
@@ -543,6 +542,86 @@ let pool_stream_differential_uncached_prop =
     ~name:"live-append submit digests = serial at recorded gen (cache off)"
     ~count:10 ~print:pool_scenario_print pool_scenario_gen
     (run_pool_stream_differential ~budget_bytes:0)
+
+(* Run [f], but end the whole test run, rather than stall it, if [f]
+   has not returned within [s] seconds — a lost request hangs [drain]. *)
+let within s what f =
+  let finished = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. s in
+  ignore
+    (Thread.create
+       (fun () ->
+         while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+           Thread.delay 0.05
+         done;
+         if not (Atomic.get finished) then begin
+           Printf.eprintf "%s: no progress in %.0fs\n%!" what s;
+           Unix._exit 2
+         end)
+       ());
+  Fun.protect ~finally:(fun () -> Atomic.set finished true) f
+
+(* Concurrent producers: three systhreads and one extra domain submit
+   at once, with every [Append] on producer 0 so the fold order — and
+   hence each generation — is still deterministic. Every callback must
+   fire exactly once, every response must pass the epoch oracle at its
+   recorded generation (producer 0's reads also at or after the appends
+   it submitted first), and the retired snapshots must reclaim to zero
+   once the stream drains. Without the pool's intake lock two producers
+   can claim the same ring cell, losing a request, which the watchdog
+   turns into a failure. *)
+let run_pool_concurrent_producers ~budget_bytes (db, threshold, reqs) =
+  let reqs = Array.of_list reqs in
+  let n = Array.length reqs in
+  let lat = lattice_of db ~threshold in
+  let ok, gen_before = epoch_oracle ~budget_bytes lat reqs in
+  let producers = 4 in
+  let owner i = match reqs.(i) with Pool.Append _ -> 0 | _ -> i mod producers in
+  let calls = Array.init n (fun _ -> Atomic.make 0) in
+  let out = Array.make n (Pool.R_error "unserved", -1) in
+  let reclaimed =
+    within 60.0 "concurrent producers" @@ fun () ->
+    Pool.with_pool ~domains:3 ~budget_bytes (Engine.of_lattice lat)
+      (fun pool ->
+        let produce p () =
+          Array.iteri
+            (fun i req ->
+              if owner i = p then
+                Pool.submit pool req (fun resp c ->
+                    Atomic.incr calls.(i);
+                    out.(i) <- (resp, c.Pool.gen)))
+            reqs
+        in
+        let threads =
+          List.init (producers - 1) (fun p -> Thread.create (produce p) ())
+        in
+        let dom = Domain.spawn (produce (producers - 1)) in
+        List.iter Thread.join threads;
+        Domain.join dom;
+        Pool.drain pool;
+        (* workers adopt at their next claim or just before parking *)
+        let rec wait k =
+          Pool.retired_snapshots pool = 0
+          || (k > 0 && (Unix.sleepf 0.01; wait (k - 1)))
+        in
+        wait 500)
+  in
+  let good = ref reclaimed in
+  Array.iteri
+    (fun i (resp, g) ->
+      if
+        Atomic.get calls.(i) <> 1
+        || not (ok i resp g)
+        || (owner i = 0 && g < gen_before.(i))
+      then good := false)
+    out;
+  !good
+
+let pool_concurrent_producers_prop =
+  QCheck2.Test.make
+    ~name:"concurrent producers: exactly-once, digests = serial at gen"
+    ~count:10 ~print:pool_scenario_print (pool_scenario_gen_of 3000)
+    (run_pool_concurrent_producers ~budget_bytes:(8 * 1024 * 1024))
 
 (* ------------------------------------------------------------------ *)
 (* Pool units *)
@@ -622,10 +701,10 @@ let test_pool_shutdown_idempotent () =
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
       ignore (Pool.run pool [||]))
 
-(* Submission-order pin: [run] (and the array [run_deliver] returns)
-   answers [reqs.(i)] at index [i], whatever domain executed what.
-   Distinct minsup cuts over Table 2 have distinct counts, so a
-   misrouted response cannot go unnoticed. *)
+(* Submission-order pin: [run] answers [reqs.(i)] at index [i],
+   whatever domain executed what. Distinct minsup cuts over Table 2
+   have distinct counts, so a misrouted response cannot go
+   unnoticed. *)
 let table2_counts_by_cut =
   (* supports 10,20,30,10,4,7,6,4,3 → entries at count cut c *)
   [| (3, 9); (4, 8); (5, 6); (7, 5); (10, 4); (20, 2); (30, 1) |]
@@ -653,51 +732,45 @@ let test_pool_submission_order () =
   Pool.with_pool ~domains:4 engine (fun pool ->
       check_submission_order (Pool.run pool (count_requests ())))
 
-(* [run_deliver] fires the callback exactly once per request with the
-   same (index, response) pairs the returned array carries — possibly
-   out of submission order, which is the point — and a raising
-   callback surfaces after the batch without losing any result. *)
-let test_pool_run_deliver () =
+(* [submit] fires each callback exactly once with that request's
+   response — possibly out of submission order, on any domain, which is
+   the point — and a raising callback surfaces at the next [drain]
+   without losing any delivery. *)
+let test_pool_submit_delivers_once () =
   let engine = Engine.of_lattice (Helpers.table2_lattice ()) in
   Pool.with_pool ~domains:4 engine (fun pool ->
       let reqs = count_requests () in
-      let delivered = Array.make (Array.length reqs) None in
-      let calls = Array.make (Array.length reqs) 0 in
-      let out =
-        Pool.run_deliver pool
-          ~on_complete:(fun i r ->
-            calls.(i) <- calls.(i) + 1;
-            delivered.(i) <- Some r)
-          reqs
-      in
-      check_submission_order (Array.map fst out);
+      let n = Array.length reqs in
+      let delivered = Array.make n (Pool.R_error "undelivered") in
+      let calls = Array.init n (fun _ -> Atomic.make 0) in
       Array.iteri
-        (fun i n ->
-          check Alcotest.int (Printf.sprintf "index %d delivered once" i) 1 n)
+        (fun i req ->
+          Pool.submit pool req (fun resp _ ->
+              Atomic.incr calls.(i);
+              delivered.(i) <- resp))
+        reqs;
+      Pool.drain pool;
+      check_submission_order delivered;
+      Array.iteri
+        (fun i c ->
+          check Alcotest.int
+            (Printf.sprintf "index %d delivered once" i)
+            1 (Atomic.get c))
         calls;
-      Array.iteri
-        (fun i r ->
-          match delivered.(i) with
-          | Some d ->
-            check Alcotest.bool
-              (Printf.sprintf "delivery %d is the returned result" i)
-              true (d == r)
-          | None -> Alcotest.fail "missing delivery")
-        out;
-      (* a raising callback: batch still completes, exception re-raised *)
-      let seen = ref 0 in
-      match
-        Pool.run_deliver pool
-          ~on_complete:(fun _ _ ->
-            incr seen;
-            failwith "callback boom")
-          reqs
-      with
-      | _ -> Alcotest.fail "callback exception must propagate"
+      (* a raising callback: every request still delivers, and the
+         exception is re-raised by the drain *)
+      let seen = Atomic.make 0 in
+      Array.iter
+        (fun req ->
+          Pool.submit pool req (fun _ _ ->
+              Atomic.incr seen;
+              failwith "callback boom"))
+        reqs;
+      match Pool.drain pool with
+      | () -> Alcotest.fail "callback exception must propagate"
       | exception Failure msg ->
         check Alcotest.string "the callback's exception" "callback boom" msg;
-        check Alcotest.int "every request still delivered"
-          (Array.length reqs) !seen)
+        check Alcotest.int "every request still delivered" n (Atomic.get seen))
 
 (* Snapshot bookkeeping: each successful [Append] publishes the next
    generation, its completion records that generation, and once the
@@ -998,8 +1071,8 @@ let suites =
         case "traced pool tags spans by domain" test_pool_traced_spans;
         case "shutdown idempotent" test_pool_shutdown_idempotent;
         case "responses land in submission order" test_pool_submission_order;
-        case "run_deliver delivers each result exactly once"
-          test_pool_run_deliver;
+        case "submit delivers each result exactly once"
+          test_pool_submit_delivers_once;
         case "generations publish and retired snapshots reclaim"
           test_pool_generation_reclaim;
       ] );
@@ -1009,5 +1082,6 @@ let suites =
         pool_differential_uncached_prop;
         pool_stream_differential_prop;
         pool_stream_differential_uncached_prop;
+        pool_concurrent_producers_prop;
       ];
   ]

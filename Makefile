@@ -1,6 +1,6 @@
 .PHONY: all build test test-quick bench-smoke bench-json bench-cache \
 	replay-smoke serve-smoke trace-smoke health-smoke bench-compare \
-	dispatch-bench stress clean
+	dispatch-bench stress perfbench clean
 
 all: build
 
@@ -21,13 +21,12 @@ test-quick:
 bench-smoke:
 	dune build @bench-smoke
 
-# Machine-readable bench output: run the qps, session, concurrent and
-# serve experiments with --json plus the dispatch microbench sweep
-# merged into the same document, validate it with bench/check_json.exe,
-# gate it against the committed baseline (bench/compare_json.exe), run
-# the pool-vs-serial digest stress, the serve -> capture -> replay
-# loopback round trip, the request-tracing smoke and the live-health
-# smoke.
+# Machine-readable bench output: run the qps and session experiments
+# with --json plus the dispatch microbench sweep merged into the same
+# document, validate it with bench/check_json.exe, gate it against the
+# committed baseline (bench/compare_json.exe), run the pool-vs-serial
+# digest stress, the serve -> capture -> replay loopback round trip,
+# the request-tracing smoke and the live-health smoke.
 bench-json:
 	dune build @bench-json @bench-compare @stress @serve-smoke @trace-smoke \
 		@health-smoke
@@ -60,8 +59,9 @@ trace-smoke:
 health-smoke:
 	dune build @health-smoke
 
-# Perf-regression gate on its own: rerun the benchmark and diff qps
-# against BENCH_T10I4.json (default tolerance -20%).
+# Throughput gate on its own: rerun the qps and session experiments and
+# the dispatch sweep and diff them against BENCH_T10I4.json (qps and
+# session -20%, dispatch -90%; the bounds are compare_json's table).
 bench-compare:
 	dune build @bench-compare
 
@@ -75,6 +75,29 @@ dispatch-bench:
 # identical FNV digests at cache budgets 0 and 8 MiB.
 stress:
 	dune build @stress
+
+# The perf gate: run the three perfbench workloads traced at seed 1 and
+# require each deterministic 1-domain ladder count (set-up work, kernel
+# vertices, heap pops and minor words per request, session cache
+# served/refine fractions and evictions; 14 per workload) to equal
+# BENCH_ladder.json exactly. A drift fails, naming the workload, the
+# metric and both values. A change that legitimately moves a count
+# re-records the baseline (cp _perfbench/ladder.json BENCH_ladder.json)
+# and explains the move in CHANGES.md. About a minute. run.py invokes
+# dune itself, hence a make target rather than a dune alias.
+LADDER_WORKLOADS = analyst scan ingest
+
+perfbench:
+	dune build ./bench/ladder_json.exe ./bench/compare_json.exe
+	mkdir -p _perfbench
+	for w in $(LADDER_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 \
+			--trace 1 > _perfbench/$$w.out || exit 1; \
+	done
+	./_build/default/bench/ladder_json.exe _perfbench/ladder.json \
+		$(foreach w,$(LADDER_WORKLOADS),$(w)=_perfbench/$(w).out)
+	./_build/default/bench/compare_json.exe BENCH_ladder.json \
+		_perfbench/ladder.json
 
 clean:
 	dune clean

@@ -1,391 +1,171 @@
-(* Perf-regression gate over two bench JSON documents.
+(* Perf-regression gate over two JSON documents.
 
-   Usage: compare_json.exe OLD.json NEW.json [--tolerance PCT]
+   Usage: compare_json.exe OLD.json NEW.json
 
-   Pairs up every qps series the two documents share — the qps
-   experiment's scenarios, the cached/uncached sides of each session
-   scenario, each (scenario, domain count) point of the concurrent
-   experiment, each (scenario, client count) point of the serve
-   experiment and the append experiment's baseline read phase — and
-   fails (exit 1) when NEW is slower than OLD by more
-   than the tolerance (default 20%). A series present in OLD but absent
-   from NEW is also a failure: silently dropping a benchmark must not
-   pass the gate. End-to-end latency percentiles are reported for
-   context but not gated; qps over a fixed wall-clock window is the
-   stabler signal.
+   OLD is a committed baseline (BENCH_T10I4.json, the bench harness's
+   --json output, or BENCH_ladder.json, the perfbench ladder counts
+   that ladder_json assembles) and NEW a fresh document of the same
+   kind. Every gated series comes from one row of [table] below: where
+   its points live, how each point is labelled, which number is gated,
+   which way is better and how far it may move the wrong way. A series
+   in OLD that is missing from NEW fails too: silently dropping a
+   benchmark must not pass the gate. Series only in NEW are listed but
+   not gated.
 
-   The serve experiment's per-phase p99s (the /statusz attribution)
-   and the append experiment's read p99s (baseline and during a live
-   append stream) ARE gated, in the opposite direction — NEW must not
-   be slower — under their own much looser --phase-tolerance (default
-   400%) plus a 500us absolute slack, because microsecond-scale phases are noisy
-   where whole-window qps is not. The gate exists to catch a phase
-   blowing up by an order of magnitude (a queue suddenly dominating, a
-   write path gone quadratic), not to litigate scheduler jitter.
+   The ladder counts (vertices, heap pops, minor words, cache
+   hits/refines and evictions per rung) are deterministic, so their
+   bound is 0: any drift fails, naming the workload and metric. Minor
+   words depend on the compiler, so a ladder document records
+   [Sys.ocaml_version]; when OLD and NEW disagree on it the gate stops
+   with a re-record error instead of a list of drifts.
 
-   The dispatch microbench's (mode, domains) points gate per-point as
-   [dispatch/<mode>/d<N>] under their own --dispatch-tolerance
-   (default 90%): pure scheduling throughput on a loaded machine
-   swings severalfold run to run, so the gate is sized to catch a
-   collapsed scheduler (an order of magnitude, a deadlock degraded to
-   timeout pacing), not timeslice luck. A dispatch series present in
-   OLD and missing from NEW still fails. *)
+   Exit 0 when every gated series holds, 1 on a regression, a missing
+   series or a version mismatch, 2 on unreadable input. *)
 
 module Jsonx = Olar_obs.Jsonx
 
 let die fmt = Format.kasprintf (fun s -> prerr_endline ("compare_json: " ^ s); exit 2) fmt
 
+type better =
+  | Higher  (** a drop beyond the bound fails *)
+  | Same  (** a move either way beyond the bound fails *)
+
+type row = {
+  series : string;  (** label template: [{field}] is that field of the point *)
+  points : string list;  (** path to the array of points *)
+  value : string list;  (** path from a point to the gated number *)
+  better : better;
+  bound : float;  (** tolerated move the wrong way, as a fraction of OLD *)
+}
+
+let table =
+  let qps = [ "experiments"; "qps"; "scenarios" ]
+  and session = [ "experiments"; "session"; "scenarios" ]
+  and dispatch = [ "experiments"; "dispatch"; "points" ] in
+  let row series points value better bound =
+    { series; points; value; better; bound }
+  in
+  [
+    row "qps/{name}" qps [ "qps" ] Higher 0.20;
+    row "session/{name}/uncached" session [ "uncached"; "qps" ] Higher 0.20;
+    row "session/{name}/cached" session [ "cached"; "qps" ] Higher 0.20;
+    (* scheduling throughput on a loaded machine swings severalfold run
+       to run; the bound catches a collapsed scheduler, not timeslice
+       luck *)
+    row "dispatch/{mode}/d{domains}" dispatch [ "qps" ] Higher 0.90;
+    row "ladder/{workload}/{metric}" [ "counts" ] [ "value" ] Same 0.0;
+  ]
+
 let read_doc path =
-  let ic = try open_in_bin path with Sys_error e -> die "%s" e in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  match Jsonx.of_string s with
-  | Ok v -> v
-  | Error e -> die "%s: %s" path e
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error e -> die "%s" e
+  in
+  match Jsonx.of_string text with Ok v -> v | Error e -> die "%s: %s" path e
 
-(* Flatten a bench document into (label, qps) pairs in document order. *)
+let field_text point name =
+  match Jsonx.member name point with
+  | Some (Jsonx.Str s) -> s
+  | Some (Jsonx.Int n) -> string_of_int n
+  | _ -> die "a point lacks the %S field its label needs" name
+
+(* Expand a label template such as "dispatch/{mode}/d{domains}". *)
+let label template point =
+  let buf = Buffer.create 32 in
+  let rec go i =
+    match String.index_from_opt template i '{' with
+    | None -> Buffer.add_substring buf template i (String.length template - i)
+    | Some j ->
+      let k = String.index_from template j '}' in
+      Buffer.add_substring buf template i (j - i);
+      Buffer.add_string buf
+        (field_text point (String.sub template (j + 1) (k - j - 1)));
+      go (k + 1)
+  in
+  go 0;
+  Buffer.contents buf
+
+(* Every (label, value, row) the table finds in a document. A document
+   without a row's points simply has none of its series. *)
 let series doc =
-  let num path v =
-    Option.bind (Jsonx.path path v) Jsonx.number
-  in
-  let name v =
-    match Option.bind (Jsonx.member "name" v) Jsonx.to_str with
-    | Some s -> s
-    | None -> die "scenario without a name field"
-  in
-  let qps_scenarios =
-    match Jsonx.path [ "experiments"; "qps"; "scenarios" ] doc with
-    | None -> []
-    | Some v -> (
-      match Jsonx.to_list v with
-      | None -> die "experiments.qps.scenarios is not an array"
-      | Some l ->
+  List.concat_map
+    (fun row ->
+      match Jsonx.path row.points doc with
+      | None -> []
+      | Some v ->
+        let points =
+          match Jsonx.to_list v with
+          | Some l -> l
+          | None -> die "%s is not an array" (String.concat "." row.points)
+        in
         List.map
-          (fun s ->
-            match num [ "qps" ] s with
-            | Some q -> ("qps/" ^ name s, q)
-            | None -> die "scenario %S has no qps" (name s))
-          l)
-  in
-  let session_scenarios =
-    match Jsonx.path [ "experiments"; "session"; "scenarios" ] doc with
-    | None -> []
-    | Some v -> (
-      match Jsonx.to_list v with
-      | None -> die "experiments.session.scenarios is not an array"
-      | Some l ->
-        List.concat_map
-          (fun s ->
-            let side key =
-              match num [ key; "qps" ] s with
-              | Some q -> [ (Printf.sprintf "session/%s/%s" (name s) key, q) ]
-              | None -> []
-            in
-            side "uncached" @ side "cached")
-          l)
-  in
-  let concurrent_scenarios =
-    match Jsonx.path [ "experiments"; "concurrent"; "scenarios" ] doc with
-    | None -> []
-    | Some v -> (
-      match Jsonx.to_list v with
-      | None -> die "experiments.concurrent.scenarios is not an array"
-      | Some l ->
-        List.concat_map
-          (fun s ->
-            let points =
-              match Option.bind (Jsonx.member "points" s) Jsonx.to_list with
-              | Some ps -> ps
-              | None -> die "concurrent scenario %S has no points" (name s)
-            in
-            List.map
-              (fun p ->
-                match (num [ "domains" ] p, num [ "qps" ] p) with
-                | Some d, Some q ->
-                  ( Printf.sprintf "concurrent/%s/d%d" (name s)
-                      (int_of_float d),
-                    q )
-                | _ -> die "concurrent point in %S lacks domains/qps" (name s))
-              points)
-          l)
-  in
-  let serve_scenarios =
-    match Jsonx.path [ "experiments"; "serve"; "scenarios" ] doc with
-    | None -> []
-    | Some v -> (
-      match Jsonx.to_list v with
-      | None -> die "experiments.serve.scenarios is not an array"
-      | Some l ->
-        List.map
-          (fun s ->
-            match (num [ "clients" ] s, num [ "qps" ] s) with
-            | Some c, Some q ->
-              (Printf.sprintf "serve/%s/c%d" (name s) (int_of_float c), q)
-            | _ -> die "serve scenario %S lacks clients/qps" (name s))
-          l)
-  in
-  let append_sides =
-    match Jsonx.path [ "experiments"; "append" ] doc with
-    | None -> []
-    | Some a ->
-      List.filter_map
-        (fun side ->
-          match num [ side; "qps" ] a with
-          | Some q -> Some ("append/" ^ side, q)
-          | None -> die "experiments.append.%s has no qps" side)
-        [ "baseline" ]
-  in
-  qps_scenarios @ session_scenarios @ concurrent_scenarios @ serve_scenarios
-  @ append_sides
+          (fun p ->
+            let name = label row.series p in
+            match Option.bind (Jsonx.path row.value p) Jsonx.number with
+            | Some x -> (name, (x, row))
+            | None -> die "%s lacks %s" name (String.concat "." row.value))
+          points)
+    table
 
-(* The dispatch microbench's (mode, domains) points as (label, qps)
-   pairs, gated separately under the loose dispatch tolerance. *)
-let dispatch_series doc =
-  let num path v = Option.bind (Jsonx.path path v) Jsonx.number in
-  match Jsonx.path [ "experiments"; "dispatch"; "points" ] doc with
-  | None -> []
-  | Some v -> (
-    match Jsonx.to_list v with
-    | None -> die "experiments.dispatch.points is not an array"
-    | Some l ->
-      List.map
-        (fun p ->
-          match
-            ( Option.bind (Jsonx.member "mode" p) Jsonx.to_str,
-              num [ "domains" ] p,
-              num [ "qps" ] p )
-          with
-          | Some m, Some d, Some q ->
-            (Printf.sprintf "dispatch/%s/d%d" m (int_of_float d), q)
-          | _ -> die "dispatch point lacks mode/domains/qps")
-        l)
+let ocaml_version doc =
+  Option.bind (Jsonx.member "ocaml_version" doc) Jsonx.to_str
 
-(* The serve experiment's per-phase p99s as (label, p99_us) pairs —
-   both the cumulative /statusz attribution and, when present, the
-   sliding-window rolling p99s ([.../window/<phase>]), gated under the
-   same loose phase tolerance (windowed quantiles over a ~1s bench
-   point are noisier still; the gate is for order-of-magnitude
-   blowups). Absent phases (a pre-attribution document) contribute
-   nothing. *)
-let phase_series doc =
-  let num path v = Option.bind (Jsonx.path path v) Jsonx.number in
-  let name v =
-    match Option.bind (Jsonx.member "name" v) Jsonx.to_str with
-    | Some s -> s
-    | None -> die "scenario without a name field"
-  in
-  (* the append experiment's read p99s ride the same inverse gate:
-     "read latency under a live append stream must not blow up" is
-     exactly the regression this experiment exists to catch *)
-  let append_p99s =
-    match Jsonx.path [ "experiments"; "append" ] doc with
-    | None -> []
-    | Some a ->
-      List.filter_map
-        (fun side ->
-          match num [ side; "latency"; "p99_us" ] a with
-          | Some p -> Some (Printf.sprintf "append/%s/read_p99" side, p)
-          | None -> die "experiments.append.%s lacks latency.p99_us" side)
-        [ "baseline"; "during" ]
-  in
-  append_p99s
-  @
-  match Jsonx.path [ "experiments"; "serve"; "scenarios" ] doc with
-  | None -> []
-  | Some v -> (
-    match Jsonx.to_list v with
-    | None -> die "experiments.serve.scenarios is not an array"
-    | Some l ->
-      List.concat_map
-        (fun s ->
-          let phase_names =
-            [ "parse"; "queue"; "dispatch"; "execute"; "deliver"; "write" ]
-          in
-          let cumulative =
-            match (num [ "clients" ] s, Jsonx.member "phases" s) with
-            | Some c, Some phases ->
-              List.filter_map
-                (fun phase ->
-                  match num [ phase; "p99_us" ] phases with
-                  | Some p ->
-                    Some
-                      ( Printf.sprintf "serve/%s/c%d/phase/%s" (name s)
-                          (int_of_float c) phase,
-                        p )
-                  | None ->
-                    die "serve scenario %S phase %s lacks p99_us" (name s)
-                      phase)
-                phase_names
-            | _ -> []
-          in
-          let windowed =
-            match
-              (num [ "clients" ] s, Jsonx.path [ "window"; "phases" ] s)
-            with
-            | Some c, Some phases ->
-              List.filter_map
-                (fun phase ->
-                  match num [ phase; "p99_us" ] phases with
-                  | Some p ->
-                    Some
-                      ( Printf.sprintf "serve/%s/c%d/window/%s" (name s)
-                          (int_of_float c) phase,
-                        p )
-                  | None -> None)
-                phase_names
-            | _ -> []
-          in
-          cumulative @ windowed)
-        l)
+let regression row ~old_v ~new_v =
+  match row.better with
+  | Higher -> new_v < old_v *. (1.0 -. row.bound)
+  | Same -> Float.abs (new_v -. old_v) > Float.abs old_v *. row.bound
 
 let () =
-  let old_path = ref None and new_path = ref None and tolerance = ref 20.0 in
-  let phase_tolerance = ref 400.0 in
-  let dispatch_tolerance = ref 90.0 in
-  let rec parse = function
-    | [] -> ()
-    | "--tolerance" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some t when t >= 0.0 -> tolerance := t
-      | _ -> die "--tolerance expects a non-negative percentage, got %S" v);
-      parse rest
-    | "--tolerance" :: [] -> die "--tolerance expects a value"
-    | "--phase-tolerance" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some t when t >= 0.0 -> phase_tolerance := t
-      | _ ->
-        die "--phase-tolerance expects a non-negative percentage, got %S" v);
-      parse rest
-    | "--phase-tolerance" :: [] -> die "--phase-tolerance expects a value"
-    | "--dispatch-tolerance" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some t when t >= 0.0 -> dispatch_tolerance := t
-      | _ ->
-        die "--dispatch-tolerance expects a non-negative percentage, got %S" v);
-      parse rest
-    | "--dispatch-tolerance" :: [] -> die "--dispatch-tolerance expects a value"
-    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-      die "unknown option %S" arg
-    | path :: rest ->
-      (match (!old_path, !new_path) with
-      | None, _ -> old_path := Some path
-      | Some _, None -> new_path := Some path
-      | Some _, Some _ -> die "too many arguments: %S" path);
-      parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
   let old_path, new_path =
-    match (!old_path, !new_path) with
-    | Some o, Some n -> (o, n)
-    | _ ->
-      die
-        "usage: compare_json OLD.json NEW.json [--tolerance PCT] \
-         [--phase-tolerance PCT] [--dispatch-tolerance PCT]"
+    match Sys.argv with
+    | [| _; o; n |] -> (o, n)
+    | _ -> die "usage: compare_json OLD.json NEW.json"
   in
   let old_doc = read_doc old_path and new_doc = read_doc new_path in
+  (match (ocaml_version old_doc, ocaml_version new_doc) with
+  | Some o, n when Some o <> n ->
+    Printf.eprintf
+      "compare_json: %s was recorded under OCaml %s but %s under %s; \
+       minor-word counts depend on the compiler, so re-record the baseline \
+       (cp %s %s)\n"
+      old_path o new_path
+      (Option.value n ~default:"an unknown version")
+      new_path old_path;
+    exit 1
+  | _ -> ());
   let old_series = series old_doc and new_series = series new_doc in
-  let old_phases = phase_series old_doc and new_phases = phase_series new_doc in
-  let old_dispatch = dispatch_series old_doc
-  and new_dispatch = dispatch_series new_doc in
-  let floor = 1.0 -. (!tolerance /. 100.0) in
-  let regressions = ref [] in
-  Printf.printf "%-34s %12s %12s %9s\n" "series" "old qps" "new qps" "delta";
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  Printf.printf "%-52s %14s %14s %9s\n" "series" "old" "new" "delta";
   List.iter
-    (fun (label, old_qps) ->
-      match List.assoc_opt label new_series with
+    (fun (name, (old_v, row)) ->
+      match List.assoc_opt name new_series with
       | None ->
-        Printf.printf "%-34s %12.1f %12s %9s\n" label old_qps "missing" "-";
-        regressions := Printf.sprintf "%s: missing from %s" label new_path :: !regressions
-      | Some new_qps ->
-        let delta = 100.0 *. ((new_qps /. old_qps) -. 1.0) in
-        Printf.printf "%-34s %12.1f %12.1f %+8.1f%%\n" label old_qps new_qps delta;
-        if new_qps < old_qps *. floor then
-          regressions :=
-            Printf.sprintf "%s: %.1f -> %.1f qps (%+.1f%%, tolerance -%.0f%%)"
-              label old_qps new_qps delta !tolerance
-            :: !regressions)
+        Printf.printf "%-52s %14g %14s\n" name old_v "missing";
+        fail "%s: missing from %s" name new_path
+      | Some (new_v, _) ->
+        let delta =
+          if old_v = 0.0 then 0.0 else 100.0 *. ((new_v /. old_v) -. 1.0)
+        in
+        Printf.printf "%-52s %14g %14g %+8.1f%%\n" name old_v new_v delta;
+        if regression row ~old_v ~new_v then
+          if row.bound = 0.0 then
+            fail "%s: %.17g -> %.17g (gated exactly)" name old_v new_v
+          else
+            fail "%s: %g -> %g (%+.1f%%, bound %s%.0f%%)" name old_v new_v
+              delta
+              (match row.better with Higher -> "-" | Same -> "±")
+              (100.0 *. row.bound))
     old_series;
   List.iter
-    (fun (label, _) ->
-      if not (List.mem_assoc label old_series) then
-        Printf.printf "%-34s %12s (new series, not gated)\n" label "-")
+    (fun (name, (v, _)) ->
+      if not (List.mem_assoc name old_series) then
+        Printf.printf "%-52s %14s %14g (new series, not gated)\n" name "-" v)
     new_series;
-  (* Dispatch gate: same direction as qps, its own loose floor. *)
-  if old_dispatch <> [] || new_dispatch <> [] then begin
-    let dfloor = 1.0 -. (!dispatch_tolerance /. 100.0) in
-    Printf.printf "\n%-34s %12s %12s %9s\n" "dispatch series" "old req/s"
-      "new req/s" "delta";
-    List.iter
-      (fun (label, old_qps) ->
-        match List.assoc_opt label new_dispatch with
-        | None ->
-          Printf.printf "%-34s %12.0f %12s %9s\n" label old_qps "missing" "-";
-          regressions :=
-            Printf.sprintf "%s: missing from %s" label new_path :: !regressions
-        | Some new_qps ->
-          let delta = 100.0 *. ((new_qps /. old_qps) -. 1.0) in
-          Printf.printf "%-34s %12.0f %12.0f %+8.1f%%\n" label old_qps new_qps
-            delta;
-          if new_qps < old_qps *. dfloor then
-            regressions :=
-              Printf.sprintf
-                "%s: %.0f -> %.0f req/s (%+.1f%%, tolerance -%.0f%%)" label
-                old_qps new_qps delta !dispatch_tolerance
-              :: !regressions)
-      old_dispatch;
-    List.iter
-      (fun (label, _) ->
-        if not (List.mem_assoc label old_dispatch) then
-          Printf.printf "%-34s %12s (new series, not gated)\n" label "-")
-      new_dispatch
-  end;
-  (* Phase-latency gate: inverse direction (new must not be slower),
-     loose relative tolerance plus an absolute 500us slack. *)
-  if old_phases <> [] || new_phases <> [] then begin
-    let mult = 1.0 +. (!phase_tolerance /. 100.0) in
-    let slack_us = 500.0 in
-    Printf.printf "\n%-44s %10s %10s %9s\n" "phase series" "old p99us"
-      "new p99us" "delta";
-    List.iter
-      (fun (label, old_p99) ->
-        match List.assoc_opt label new_phases with
-        | None ->
-          Printf.printf "%-44s %10.0f %10s %9s\n" label old_p99 "missing" "-";
-          regressions :=
-            Printf.sprintf "%s: missing from %s" label new_path :: !regressions
-        | Some new_p99 ->
-          let delta =
-            if old_p99 > 0.0 then 100.0 *. ((new_p99 /. old_p99) -. 1.0)
-            else 0.0
-          in
-          Printf.printf "%-44s %10.0f %10.0f %+8.1f%%\n" label old_p99 new_p99
-            delta;
-          if new_p99 > (old_p99 *. mult) +. slack_us then
-            regressions :=
-              Printf.sprintf
-                "%s: p99 %.0f -> %.0f us (+%.0f%%, tolerance +%.0f%% + %.0fus)"
-                label old_p99 new_p99 delta !phase_tolerance slack_us
-              :: !regressions)
-      old_phases;
-    List.iter
-      (fun (label, _) ->
-        if not (List.mem_assoc label old_phases) then
-          Printf.printf "%-44s %10s (new series, not gated)\n" label "-")
-      new_phases
-  end;
-  match List.rev !regressions with
+  match List.rev !failures with
   | [] ->
-    Printf.printf "OK: %d series within -%.0f%% tolerance%s%s\n"
-      (List.length old_series) !tolerance
-      (if old_dispatch = [] then ""
-       else
-         Printf.sprintf ", %d dispatch series within -%.0f%%"
-           (List.length old_dispatch) !dispatch_tolerance)
-      (if old_phases = [] then ""
-       else
-         Printf.sprintf ", %d phase series within +%.0f%%"
-           (List.length old_phases) !phase_tolerance)
-  | rs ->
-    List.iter (fun r -> prerr_endline ("REGRESSION " ^ r)) rs;
+    Printf.printf "OK: %d series within their bounds\n"
+      (List.length old_series)
+  | fs ->
+    List.iter (fun f -> prerr_endline ("REGRESSION " ^ f)) fs;
     exit 1

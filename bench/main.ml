@@ -910,533 +910,6 @@ let session_bench config =
     (Jsonx.Obj [ ("scenarios", Jsonx.Arr (List.rev !jscenarios)) ])
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent serving: the same queries fanned across a Pool of 1, 2,
-   4 and 8 domains sharing one immutable lattice, each domain with a
-   private scratch/session. Aggregate throughput plus per-request p99
-   from the pool's own service-latency clock. Caches are off (budget
-   0) so the scaling measured is raw query execution, not hit rate.
-   Speedup is bounded by physical cores — on a 1-core container every
-   domain count measures the same serialized throughput minus
-   scheduling overhead. *)
-
-let concurrent config =
-  section
-    "Concurrent serving: aggregate qps + p99 across a domain pool\n\
-     (one shared CSR lattice, per-domain scratch/session; lib/serve Pool)";
-  let e = engine config ~t:10 ~i:4 ~primary:0.002 in
-  let lat = Olar_core.Engine.lattice e in
-  let singles = Olar_util.Vec.create () in
-  Olar_core.Lattice.iter_vertices
-    (fun v ->
-      if Olar_core.Lattice.cardinal lat v = 1 then Olar_util.Vec.push singles v)
-    lat;
-  let single k =
-    Olar_core.Lattice.itemset lat
-      (Olar_util.Vec.get singles (k mod Olar_util.Vec.length singles))
-  in
-  let batch_len = 64 in
-  let find_broad =
-    Array.init batch_len (fun _ ->
-        Olar_serve.Pool.Find_itemsets
-          { containing = Itemset.empty; minsup = 0.0025 })
-  in
-  let mixed =
-    Array.init batch_len (fun k ->
-        match k mod 4 with
-        | 0 ->
-          Olar_serve.Pool.Find_itemsets
-            { containing = single k; minsup = 0.002 }
-        | 1 ->
-          Olar_serve.Pool.Count_itemsets
-            { containing = Itemset.empty; minsup = 0.005 }
-        | 2 ->
-          Olar_serve.Pool.Single_consequent_rules
-            { containing = Itemset.empty; minsup = 0.0075; minconf = 0.5 }
-        | _ ->
-          Olar_serve.Pool.Support_for_k_itemsets
-            { containing = single k; k = 100 })
-  in
-  let measure pool batch =
-    ignore (Olar_serve.Pool.run pool batch);
-    let hist = Olar_obs.Metrics.Histogram.create "service_latency" in
-    let budget = 1.0 in
-    let timer = Olar_util.Timer.start () in
-    let queries = ref 0 in
-    while Olar_util.Timer.elapsed_s timer < budget do
-      let out = Olar_serve.Pool.run_timed pool batch in
-      Array.iter
-        (fun (_, l) -> Olar_obs.Metrics.Histogram.observe hist l)
-        out;
-      queries := !queries + Array.length batch
-    done;
-    let dt = Olar_util.Timer.elapsed_s timer in
-    (!queries, dt, hist)
-  in
-  Printf.printf "%-18s %-8s %-10s %-12s %-10s %-10s %-8s\n" "scenario" "domains"
-    "queries" "qps" "p99 us" "mean us" "vs 1";
-  let jscenarios = ref [] in
-  List.iter
-    (fun (name, batch) ->
-      let base = ref 0.0 in
-      let jpoints = ref [] in
-      List.iter
-        (fun d ->
-          let queries, dt, hist =
-            Olar_serve.Pool.with_pool ~domains:d ~budget_bytes:0 e (fun pool ->
-                measure pool batch)
-          in
-          let qps = float_of_int queries /. dt in
-          if d = 1 then base := qps;
-          let q p = 1e6 *. Olar_obs.Metrics.Histogram.quantile hist p in
-          Printf.printf "%-18s %-8d %-10d %-12.0f %-10.0f %-10.1f %6.2fx\n"
-            name d queries qps (q 0.99)
-            (1e6 *. Olar_obs.Metrics.Histogram.mean hist)
-            (qps /. !base);
-          jpoints :=
-            Jsonx.Obj
-              [
-                ("domains", Jsonx.Int d);
-                ("queries", Jsonx.Int queries);
-                ("seconds", Jsonx.Float dt);
-                ("qps", Jsonx.Float qps);
-                ("speedup_vs_1", Jsonx.Float (qps /. !base));
-                ( "latency",
-                  Jsonx.Obj
-                    [
-                      ( "samples",
-                        Jsonx.Int (Olar_obs.Metrics.Histogram.count hist) );
-                      ( "mean_us",
-                        Jsonx.Float
-                          (1e6 *. Olar_obs.Metrics.Histogram.mean hist) );
-                      ("p50_us", Jsonx.Float (q 0.5));
-                      ("p90_us", Jsonx.Float (q 0.9));
-                      ("p99_us", Jsonx.Float (q 0.99));
-                    ] );
-              ]
-            :: !jpoints)
-        [ 1; 2; 4; 8 ];
-      jscenarios :=
-        Jsonx.Obj
-          [
-            ("name", Jsonx.Str name);
-            ("batch", Jsonx.Int batch_len);
-            ("points", Jsonx.Arr (List.rev !jpoints));
-          ]
-        :: !jscenarios)
-    [ ("find broad 0.25%", find_broad); ("mixed", mixed) ];
-  record_json "concurrent"
-    (Jsonx.Obj
-       [
-         ( "recommended_domains",
-           Jsonx.Int (Domain.recommended_domain_count ()) );
-         ("scenarios", Jsonx.Arr (List.rev !jscenarios));
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Append latency: read service under a live append stream. The old
-   pool quiesced on every append — a fold stalled every in-flight
-   reader behind a barrier. Snapshot publication folds the delta off
-   to the side and swaps a pointer, so a read's wall-clock latency
-   (submit to completion) should stay put while appends stream
-   through. Two phases over the same closed loop of raw [Pool.submit]
-   reads with no drains: a baseline without appends, then the same
-   loop with a small Append folded after every [append_every] reads.
-   compare_json holds both phases' read p99 against the recorded
-   BENCH_T10I4.json values. *)
-
-let append_bench config =
-  section
-    "Append latency: read p99 under a live append stream\n\
-     (RCU snapshot publication; raw Pool.submit, no drains)";
-  let e = engine config ~t:10 ~i:4 ~primary:0.002 in
-  let _, db = dataset config ~t:10 ~i:4 in
-  let lat = Olar_core.Engine.lattice e in
-  let singles = Olar_util.Vec.create () in
-  Olar_core.Lattice.iter_vertices
-    (fun v ->
-      if Olar_core.Lattice.cardinal lat v = 1 then Olar_util.Vec.push singles v)
-    lat;
-  let single k =
-    Olar_core.Lattice.itemset lat
-      (Olar_util.Vec.get singles (k mod Olar_util.Vec.length singles))
-  in
-  let read k =
-    match k mod 4 with
-    | 0 ->
-      Olar_serve.Pool.Find_itemsets { containing = single k; minsup = 0.002 }
-    | 1 ->
-      Olar_serve.Pool.Count_itemsets
-        { containing = Itemset.empty; minsup = 0.005 }
-    | 2 ->
-      Olar_serve.Pool.Single_consequent_rules
-        { containing = Itemset.empty; minsup = 0.0075; minconf = 0.5 }
-    | _ ->
-      Olar_serve.Pool.Support_for_k_itemsets { containing = single k; k = 100 }
-  in
-  let rng = Random.State.make [| config.seed; 0xa99e |] in
-  let delta () =
-    let rows =
-      List.init 5 (fun _ -> Itemset.to_list (single (Random.State.int rng 4096)))
-    in
-    Database.of_lists ~num_items:(Database.num_items db) rows
-  in
-  let domains = max 1 (min 4 (Domain.recommended_domain_count ())) in
-  let append_every = 500 in
-  let cap = 1 lsl 18 in
-  (* One phase. Wall-clock latency per read is captured from submit in
-     the callback's closure; callbacks run on whichever domain executed
-     the request, so each writes its own pre-assigned slot and the
-     histogram is folded after the drain. *)
-  let phase ~with_appends pool =
-    let lats = Array.make cap 0.0 in
-    let budget = 1.0 in
-    let timer = Olar_util.Timer.start () in
-    let submitted = ref 0 in
-    let appends = ref 0 in
-    let promoted = ref 0 in
-    while Olar_util.Timer.elapsed_s timer < budget && !submitted < cap do
-      let idx = !submitted in
-      let t0 = Olar_util.Timer.elapsed_s timer in
-      Olar_serve.Pool.submit pool (read idx) (fun _ _ ->
-          lats.(idx) <- Olar_util.Timer.elapsed_s timer -. t0);
-      incr submitted;
-      if with_appends && !submitted mod append_every = 0 then begin
-        incr appends;
-        (* folds inline on the coordinator; reads already submitted
-           keep executing on the old snapshot meanwhile *)
-        Olar_serve.Pool.submit pool
-          (Olar_serve.Pool.Append (delta ()))
-          (fun resp _ ->
-            match resp with
-            | Olar_serve.Pool.R_promoted _ -> incr promoted
-            | _ -> ())
-      end
-    done;
-    Olar_serve.Pool.drain pool;
-    let dt = Olar_util.Timer.elapsed_s timer in
-    let hist = Olar_obs.Metrics.Histogram.create "read_latency" in
-    for i = 0 to !submitted - 1 do
-      Olar_obs.Metrics.Histogram.observe hist lats.(i)
-    done;
-    (!submitted, dt, hist, !appends, !promoted)
-  in
-  let run_phase ~with_appends =
-    Olar_serve.Pool.with_pool ~domains ~budget_bytes:0 e (fun pool ->
-        let r = phase ~with_appends pool in
-        let gen = Olar_serve.Pool.generation pool in
-        (r, gen))
-  in
-  let (bq, bdt, bh, _, _), _ = run_phase ~with_appends:false in
-  let (dq, ddt, dh, da, dp), dgen = run_phase ~with_appends:true in
-  let q hist p = 1e6 *. Olar_obs.Metrics.Histogram.quantile hist p in
-  let bp99 = q bh 0.99 and dp99 = q dh 0.99 in
-  let ratio = if bp99 > 0.0 then dp99 /. bp99 else 0.0 in
-  Printf.printf "%-22s %-10s %-12s %-10s %-10s %-9s\n" "phase" "reads" "qps"
-    "p50 us" "p99 us" "appends";
-  Printf.printf "%-22s %-10d %-12.0f %-10.1f %-10.1f %-9s\n" "baseline" bq
-    (float_of_int bq /. bdt)
-    (q bh 0.5) bp99 "-";
-  Printf.printf "%-22s %-10d %-12.0f %-10.1f %-10.1f %d (%d ok)\n"
-    "during appends" dq
-    (float_of_int dq /. ddt)
-    (q dh 0.5) dp99 da dp;
-  Printf.printf "read p99 during appends / baseline: %.2fx (%d generations)\n"
-    ratio dgen;
-  let side (queries, dt, hist, _, _) =
-    Jsonx.Obj
-      [
-        ("queries", Jsonx.Int queries);
-        ("seconds", Jsonx.Float dt);
-        ("qps", Jsonx.Float (float_of_int queries /. dt));
-        ( "latency",
-          Jsonx.Obj
-            [
-              ("samples", Jsonx.Int (Olar_obs.Metrics.Histogram.count hist));
-              ("mean_us", Jsonx.Float (1e6 *. Olar_obs.Metrics.Histogram.mean hist));
-              ("p50_us", Jsonx.Float (q hist 0.5));
-              ("p90_us", Jsonx.Float (q hist 0.9));
-              ("p99_us", Jsonx.Float (q hist 0.99));
-            ] );
-      ]
-  in
-  record_json "append"
-    (Jsonx.Obj
-       [
-         ("domains", Jsonx.Int domains);
-         ("append_every", Jsonx.Int append_every);
-         ("baseline", side (bq, bdt, bh, 0, 0));
-         ("during", side (dq, ddt, dh, da, dp));
-         ("appends", Jsonx.Int da);
-         ("promoted", Jsonx.Int dp);
-         ("generations", Jsonx.Int dgen);
-         ("p99_ratio", Jsonx.Float ratio);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Network serving: closed-loop loopback HTTP clients against an
-   in-process olar serve (lib/net). Where the concurrent experiment
-   measures raw pool rounds, this one measures the whole wire path —
-   socket, HTTP parse, in-flight admission, pool submit, JSON
-   response — which is what a deployment actually observes. Clients
-   draw query bodies from Zipf-skewed streams (an analyst's favourite
-   settings dominating); sheds (429/503) are counted in the report but
-   not expected at these loads. *)
-
-(* One blocking request/response turn on a persistent connection. *)
-let serve_client_post fd buf off body =
-  let s = Olar_net.Http.render_request ~meth:"POST" ~target:"/query" body in
-  let sb = Bytes.unsafe_of_string s in
-  let rec wr o =
-    if o < String.length s then
-      wr (o + Unix.write fd sb o (String.length s - o))
-  in
-  wr 0;
-  let chunk = Bytes.create 8192 in
-  let rec rd () =
-    match Olar_net.Http.parse_response (Buffer.contents buf) ~off:!off with
-    | Olar_net.Http.Complete (resp, used) ->
-      off := !off + used;
-      if !off = Buffer.length buf then begin
-        Buffer.clear buf;
-        off := 0
-      end;
-      resp.Olar_net.Http.status
-    | Olar_net.Http.Failed _ -> failwith "serve bench: malformed response"
-    | Olar_net.Http.Incomplete -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> failwith "serve bench: connection closed"
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        rd ())
-  in
-  rd ()
-
-(* One blocking GET on a fresh connection; returns the response body. *)
-let serve_client_get port target =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let s = Olar_net.Http.render_request ~meth:"GET" ~target "" in
-  let sb = Bytes.unsafe_of_string s in
-  let rec wr o =
-    if o < String.length s then
-      wr (o + Unix.write fd sb o (String.length s - o))
-  in
-  wr 0;
-  let buf = Buffer.create 8192 in
-  let chunk = Bytes.create 8192 in
-  let rec rd () =
-    match Olar_net.Http.parse_response (Buffer.contents buf) ~off:0 with
-    | Olar_net.Http.Complete (resp, _) -> resp.Olar_net.Http.resp_body
-    | Olar_net.Http.Failed _ -> failwith "serve bench: malformed response"
-    | Olar_net.Http.Incomplete -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> failwith "serve bench: connection closed"
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        rd ())
-  in
-  let body = rd () in
-  (try Unix.close fd with _ -> ());
-  body
-
-let serve_bench config =
-  section
-    "Network serving: loopback HTTP clients against olar serve\n\
-     (end-to-end wire qps: socket + HTTP + admission + pool)";
-  (* an obs context so the server starts its eventring consumer: the
-     emitted JSON then carries the gc section next to the windows *)
-  let e =
-    Olar_core.Engine.with_obs
-      (engine config ~t:10 ~i:4 ~primary:0.002)
-      (Olar_obs.Obs.create ())
-  in
-  let lat = Olar_core.Engine.lattice e in
-  let singles = Olar_util.Vec.create () in
-  Olar_core.Lattice.iter_vertices
-    (fun v ->
-      if Olar_core.Lattice.cardinal lat v = 1 then Olar_util.Vec.push singles v)
-    lat;
-  let single_json k =
-    let x =
-      Olar_core.Lattice.itemset lat
-        (Olar_util.Vec.get singles (k mod Olar_util.Vec.length singles))
-    in
-    "[" ^ String.concat "," (List.map string_of_int (Itemset.to_list x)) ^ "]"
-  in
-  (* pre-drawn body streams, Zipf weight 1/(r+1) over setting ranks as
-     in the session experiment *)
-  let stream_len = 1024 in
-  let zipf_bodies st make n_settings =
-    let cum = Array.make n_settings 0.0 in
-    let total = ref 0.0 in
-    for r = 0 to n_settings - 1 do
-      total := !total +. (1.0 /. float_of_int (r + 1));
-      cum.(r) <- !total
-    done;
-    Array.init stream_len (fun i ->
-        let u = Random.State.float st !total in
-        let rec pick r =
-          if r = n_settings - 1 || u <= cum.(r) then r else pick (r + 1)
-        in
-        make (pick 0) i)
-  in
-  let rng = Random.State.make [| config.seed; 0x53e7 |] in
-  let counts = [| 0.004; 0.0025; 0.005; 0.003; 0.0075; 0.01 |] in
-  let count_bodies =
-    zipf_bodies rng
-      (fun r _ -> Printf.sprintf {|{"kind":"count","minsup":%g}|} counts.(r))
-      (Array.length counts)
-  in
-  let mixed_bodies =
-    zipf_bodies rng
-      (fun r i ->
-        match r mod 4 with
-        | 0 ->
-          Printf.sprintf {|{"kind":"find","containing":%s,"minsup":0.002}|}
-            (single_json i)
-        | 1 -> {|{"kind":"count","minsup":0.005}|}
-        | 2 ->
-          {|{"kind":"single_consequent_rules","minsup":0.0075,"minconf":0.5}|}
-        | _ ->
-          Printf.sprintf
-            {|{"kind":"support_for_k_itemsets","containing":%s,"k":100}|}
-            (single_json i))
-      8
-  in
-  let server_cfg =
-    { Olar_net.Server.default_config with Olar_net.Server.port = 0 }
-  in
-  let run_point bodies clients =
-    Olar_net.Server.with_server ~config:server_cfg ?domains:config.domains
-      ~budget_bytes:0 e (fun srv ->
-        let port = Olar_net.Server.port srv in
-        let hist = Olar_obs.Metrics.Histogram.create "wire_latency" in
-        let served = Atomic.make 0 and shed = Atomic.make 0 in
-        let stop = Atomic.make false in
-        let worker ci () =
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          let buf = Buffer.create 8192 in
-          let off = ref 0 in
-          let k = ref ci in
-          while not (Atomic.get stop) do
-            let body = bodies.(!k land (stream_len - 1)) in
-            k := !k + clients;
-            let t0 = Olar_util.Timer.start () in
-            let status = serve_client_post fd buf off body in
-            Olar_obs.Metrics.Histogram.observe hist
-              (Olar_util.Timer.elapsed_s t0);
-            match status with
-            | 200 -> Atomic.incr served
-            | 429 | 503 -> Atomic.incr shed
-            | s -> failwith (Printf.sprintf "serve bench: status %d" s)
-          done;
-          try Unix.close fd with _ -> ()
-        in
-        let budget = 1.0 in
-        let timer = Olar_util.Timer.start () in
-        let threads =
-          List.init clients (fun ci -> Thread.create (worker ci) ())
-        in
-        Thread.delay budget;
-        Atomic.set stop true;
-        List.iter Thread.join threads;
-        let dt = Olar_util.Timer.elapsed_s timer in
-        (* scrape the per-phase latency attribution for this point from
-           /statusz (a Jsonx view of olar_http_phase_seconds). The
-           write phase is observed by a post-send hook that can lag the
-           client's receive by a beat, so retry briefly until the write
-           count has caught up with everything the clients saw served. *)
-        let statusz =
-          let rec scrape attempts =
-            let json =
-              match Jsonx.of_string (serve_client_get port "/statusz") with
-              | Ok json -> json
-              | Error e -> failwith ("serve bench: statusz not JSON: " ^ e)
-            in
-            let write_count =
-              match
-                Option.bind
-                  (Jsonx.path [ "phases"; "write"; "count" ] json)
-                  Jsonx.number
-              with
-              | Some c -> int_of_float c
-              | None -> failwith "serve bench: statusz lacks write phase"
-            in
-            if write_count >= Atomic.get served || attempts >= 50 then json
-            else begin
-              Thread.delay 0.01;
-              scrape (attempts + 1)
-            end
-          in
-          scrape 0
-        in
-        let statusz_section what =
-          match Jsonx.member what statusz with
-          | Some v -> v
-          | None -> failwith ("serve bench: statusz lacks " ^ what)
-        in
-        ( Olar_serve.Pool.domains (Olar_net.Server.pool srv),
-          Atomic.get served,
-          Atomic.get shed,
-          dt,
-          hist,
-          ( statusz_section "phases",
-            statusz_section "window",
-            statusz_section "gc" ) ))
-  in
-  Printf.printf "%-14s %-8s %-10s %-12s %-6s %-10s %-10s\n" "scenario"
-    "clients" "served" "qps" "shed" "p50 us" "p99 us";
-  let jscenarios = ref [] in
-  let domains_seen = ref 1 in
-  List.iter
-    (fun (name, bodies) ->
-      List.iter
-        (fun clients ->
-          let domains, served, shed, dt, hist, (phases, window, gc) =
-            run_point bodies clients
-          in
-          domains_seen := domains;
-          let qps = float_of_int served /. dt in
-          let q p = 1e6 *. Olar_obs.Metrics.Histogram.quantile hist p in
-          Printf.printf "%-14s %-8d %-10d %-12.0f %-6d %-10.0f %-10.0f\n" name
-            clients served qps shed (q 0.5) (q 0.99);
-          jscenarios :=
-            Jsonx.Obj
-              [
-                ("name", Jsonx.Str name);
-                ("clients", Jsonx.Int clients);
-                ("queries", Jsonx.Int served);
-                ("seconds", Jsonx.Float dt);
-                ("qps", Jsonx.Float qps);
-                ("shed", Jsonx.Int shed);
-                ( "latency",
-                  Jsonx.Obj
-                    [
-                      ( "samples",
-                        Jsonx.Int (Olar_obs.Metrics.Histogram.count hist) );
-                      ( "mean_us",
-                        Jsonx.Float
-                          (1e6 *. Olar_obs.Metrics.Histogram.mean hist) );
-                      ("p50_us", Jsonx.Float (q 0.5));
-                      ("p90_us", Jsonx.Float (q 0.9));
-                      ("p99_us", Jsonx.Float (q 0.99));
-                    ] );
-                ("phases", phases);
-                ("window", window);
-                ("gc", gc);
-              ]
-            :: !jscenarios)
-        [ 1; 4 ])
-    [ ("count broad", count_bodies); ("mixed", mixed_bodies) ];
-  record_json "serve"
-    (Jsonx.Obj
-       [
-         ("domains", Jsonx.Int !domains_seen);
-         ("scenarios", Jsonx.Arr (List.rev !jscenarios));
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the core operations. *)
 
 let micro config =
@@ -1524,9 +997,7 @@ let all_experiments =
   [
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("table3", table3);
     ("fig11", fig11); ("fig12", fig12); ("scaling", scaling); ("qps", qps);
-    ("session", session_bench); ("concurrent", concurrent);
-    ("append", append_bench);
-    ("serve", serve_bench); ("miners", miners);
+    ("session", session_bench); ("miners", miners);
     ("ablate-sort", ablate_sort);
     ("ablate-cache", ablate_cache); ("ablate-miner", ablate_miner);
     ("ablate-counting", ablate_counting); ("ablate-bestfirst", ablate_bestfirst);

@@ -24,6 +24,19 @@ type report = {
   replayed_heap_pops : int;
 }
 
+let zero_report =
+  {
+    total = 0;
+    mismatches = 0;
+    errors = 0;
+    recorded_s = 0.0;
+    replayed_s = 0.0;
+    recorded_vertices = 0;
+    replayed_vertices = 0;
+    recorded_heap_pops = 0;
+    replayed_heap_pops = 0;
+  }
+
 let load path =
   let ic = open_in path in
   Fun.protect
@@ -39,6 +52,13 @@ let load path =
           | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
       in
       loop 1 [])
+
+let constraints_of_record (r : Record.t) =
+  {
+    Boundary.antecedent_includes = r.antecedent_includes;
+    consequent_includes = r.consequent_includes;
+    allow_empty_antecedent = r.allow_empty_antecedent;
+  }
 
 (* Rebuild the exact call a record describes and issue it through
    [recorder]. Raises [Failure] on a structurally incomplete record
@@ -58,13 +78,7 @@ let dispatch recorder (r : Record.t) =
   let k () =
     match r.k with Some k -> k | None -> failwith "record is missing k"
   in
-  let constraints =
-    {
-      Boundary.antecedent_includes = r.antecedent_includes;
-      consequent_includes = r.consequent_includes;
-      allow_empty_antecedent = r.allow_empty_antecedent;
-    }
-  in
+  let constraints = constraints_of_record r in
   match r.kind with
   | Record.Find_itemsets ->
     ignore
@@ -106,13 +120,6 @@ let dispatch recorder (r : Record.t) =
 (* ------------------------------------------------------------------ *)
 (* Pool replay: the record key as a by-value request                  *)
 (* ------------------------------------------------------------------ *)
-
-let constraints_of_record (r : Record.t) =
-  {
-    Boundary.antecedent_includes = r.antecedent_includes;
-    consequent_includes = r.consequent_includes;
-    allow_empty_antecedent = r.allow_empty_antecedent;
-  }
 
 let request_of_record (r : Record.t) =
   let minsup () =
@@ -199,20 +206,7 @@ let run ?(on_outcome = fun _ -> ()) session records =
   let recorder =
     Recorder.create ~emit:(fun r -> captured := Some r) session
   in
-  let report =
-    ref
-      {
-        total = 0;
-        mismatches = 0;
-        errors = 0;
-        recorded_s = 0.0;
-        replayed_s = 0.0;
-        recorded_vertices = 0;
-        replayed_vertices = 0;
-        recorded_heap_pops = 0;
-        replayed_heap_pops = 0;
-      }
-  in
+  let report = ref zero_report in
   List.iter
     (fun (r : Record.t) ->
       captured := None;
@@ -255,15 +249,12 @@ let run ?(on_outcome = fun _ -> ()) session records =
 let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
   (* Convert every record up front; a structurally incomplete record is
      an error outcome without executing anything. The valid requests
-     are streamed through {!Pool.submit} — the same continuous path
-     the server's connection threads use — except that the stream
-     drains before each append: pool appends publish without
-     quiescing, and a capture's digests are only meaningful if every
-     query replays on the same database state it was recorded against,
-     so the replay re-imposes the capture's sequential epochs at append
-     boundaries. Each
-     callback writes a distinct slot of [out], so completion order is
-     free to differ from submission order. *)
+     go through {!Pool.run_timed}: {!Pool.submit} — the same continuous
+     path the server's connection threads use — draining before each
+     append. Pool appends publish without quiescing, and a capture's
+     digests are only meaningful if every query replays on the same
+     database state it was recorded against, so the replay re-imposes
+     the capture's sequential epochs at append boundaries. *)
   let converted = List.map (fun r -> (r, request_of_record r)) records in
   let reqs =
     Array.of_list (List.filter_map (fun (_, q) -> Result.to_option q) converted)
@@ -275,29 +266,9 @@ let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
   let h_cell = counter "olar_query_heap_pops_total" in
   let value = function Some c -> Counter.value c | None -> 0 in
   let v0 = value v_cell and h0 = value h_cell in
-  let out = Array.make (Array.length reqs) (Pool.R_error "unreplayed", 0.0) in
-  Array.iteri
-    (fun i req ->
-      (match req with Pool.Append _ -> Pool.drain pool | _ -> ());
-      Pool.submit pool req (fun resp c ->
-          out.(i) <- (resp, c.Pool.latency_s)))
-    reqs;
-  Pool.drain pool;
+  let out = Pool.run_timed pool reqs in
   let idx = ref 0 in
-  let report =
-    ref
-      {
-        total = 0;
-        mismatches = 0;
-        errors = 0;
-        recorded_s = 0.0;
-        replayed_s = 0.0;
-        recorded_vertices = 0;
-        replayed_vertices = 0;
-        recorded_heap_pops = 0;
-        replayed_heap_pops = 0;
-      }
-  in
+  let report = ref zero_report in
   List.iter
     (fun ((r : Record.t), q) ->
       let resp, latency =

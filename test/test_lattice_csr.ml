@@ -506,7 +506,13 @@ let test_disabled_obs_zero_alloc () =
   in
   let measure f =
     f ();
-    (* warm-up: scratch growth doesn't count *)
+    (* warm-up: scratch growth doesn't count. Then start on an empty
+       minor heap: the loop allocates far less than the minor heap
+       holds, so no collection falls inside it. [Gc.allocated_bytes]
+       mis-accounts across a minor collection (it can jump by most of
+       a minor heap), so whichever loop crossed one — decided by what
+       earlier tests left on the heap — would read as allocating. *)
+    Gc.minor ();
     let before = Gc.allocated_bytes () in
     for _ = 1 to 1000 do
       f ()

@@ -20,4 +20,5 @@ let () =
    @ Test_serve.suites @ Test_baseline.suites @ Test_extensions.suites
    @ Test_taxonomy.suites @ Test_quant.suites @ Test_laws.suites
    @ Test_obs.suites @ Test_replay.suites @ Test_net.suites
+   @ Test_gate.suites
     @ (if quick_only then [] else slow_suites))

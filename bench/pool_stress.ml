@@ -30,7 +30,7 @@ module Engine = Olar_core.Engine
 module Lattice = Olar_core.Lattice
 module Pool = Olar_serve.Pool
 module Session = Olar_serve.Session
-module Replay = Olar_replay.Replay
+module Record = Olar_replay.Record
 module Fnv = Olar_replay.Fnv
 
 let num_queries = 400
@@ -116,7 +116,7 @@ let build_workload ?(append_every = 100) db =
    no digestible result; digest its message instead so error responses
    still participate in the bitwise comparison. *)
 let digest_of_response resp =
-  match Replay.digest_response resp with
+  match Record.digest_response resp with
   | Some d -> d
   | None ->
     let msg = match resp with Pool.R_error e -> e | _ -> assert false in
@@ -124,9 +124,11 @@ let digest_of_response resp =
 
 let digest_responses out = Array.map digest_of_response out
 
-(* Mirror of the pool's per-request execution against a plain serial
-   session — same materialization, same exception-to-R_error rule — so
-   both sides digest through the replay layer's semantics. *)
+(* The serial reference: the pool's per-request execution against a
+   plain serial session — same materialization, same exception-to-R_error
+   rule — so both sides digest through the replay layer's semantics.
+   Deliberately an independent copy of [Pool.exec], not a call to it:
+   the differentials compare [Pool.exec] against this. *)
 let serial_execute session (req : Pool.request) : Pool.response =
   let materialize lat ids =
     Array.map (fun v -> (Lattice.itemset lat v, Lattice.support lat v)) ids

@@ -37,6 +37,7 @@ let build_engine db =
    threshold so no query is refused; start itemsets are frequent
    singletons so constrained queries land on live lattice regions. *)
 let run_workload recorder engine db =
+  let run key = ignore (Recorder.run recorder key) in
   let lat = Engine.lattice engine in
   let singletons = ref [] in
   let deepest = ref Itemset.empty in
@@ -66,25 +67,23 @@ let run_workload recorder engine db =
               singletons.(Random.State.int rng (Array.length singletons)))
       in
       let delta = Database.of_lists ~num_items:(Database.num_items db) rows in
-      ignore (Recorder.append recorder delta)
+      run (Record.key ~delta Record.Append)
     end
     else
-      match i mod 8 with
-      | 0 -> ignore (Recorder.itemset_ids ~containing recorder ~minsup)
-      | 1 -> ignore (Recorder.count_itemsets ~containing recorder ~minsup)
-      | 2 -> ignore (Recorder.essential_rules ~containing recorder ~minsup ~minconf)
-      | 3 -> ignore (Recorder.all_rules ~containing recorder ~minsup ~minconf)
-      | 4 ->
-        ignore (Recorder.single_consequent_rules ~containing recorder ~minsup ~minconf)
-      | 5 ->
-        ignore
-          (Recorder.support_for_k_itemsets recorder ~containing
-             ~k:(1 + Random.State.int rng 50))
-      | 6 ->
-        ignore
-          (Recorder.support_for_k_rules recorder ~involving:containing ~minconf
-             ~k:(1 + Random.State.int rng 20))
-      | _ -> ignore (Recorder.boundary recorder ~target:!deepest ~minconf)
+      run
+        (match i mod 8 with
+        | 0 -> Record.key ~containing ~minsup Record.Find_itemsets
+        | 1 -> Record.key ~containing ~minsup Record.Count_itemsets
+        | 2 -> Record.key ~containing ~minsup ~minconf Record.Essential_rules
+        | 3 -> Record.key ~containing ~minsup ~minconf Record.All_rules
+        | 4 -> Record.key ~containing ~minsup ~minconf Record.Single_consequent_rules
+        | 5 ->
+          Record.key ~containing ~k:(1 + Random.State.int rng 50)
+            Record.Support_for_k_itemsets
+        | 6 ->
+          Record.key ~containing ~minconf ~k:(1 + Random.State.int rng 20)
+            Record.Support_for_k_rules
+        | _ -> Record.key ~containing:!deepest ~minconf Record.Boundary)
   done
 
 let replay_against ~budget_bytes db records =
@@ -108,7 +107,8 @@ let () =
       close_out oc;
       let records =
         match Replay.load log_path with
-        | Ok rs -> rs
+        | Ok (rs, None) -> rs
+        | Ok (_, Some torn) -> failwith torn
         | Error e -> failwith e
       in
       if List.length records <> num_queries then

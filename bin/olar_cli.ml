@@ -259,6 +259,36 @@ let handle_below_threshold f =
       requested primary;
     exit 2
 
+(* [Pool.exec], except that a find on a passthrough session opens the
+   "itemsets" query span (and latency histogram) that the engine opens
+   for every other kind on its own. *)
+let exec ~obs session req =
+  match (obs, req) with
+  | Some ctx, Olar_serve.Pool.Find_itemsets _
+    when not (Olar_serve.Session.enabled session) ->
+    Olar_obs.Obs.query_span ctx ~name:"itemsets" ~work:Olar_obs.Obs.Vertices
+      (fun _ -> Olar_serve.Pool.exec session req)
+  | _ -> Olar_serve.Pool.exec session req
+
+(* Run one query key (the items/rules/count/support-for commands) on a
+   session sized by --cache-mb — a passthrough to the engine at 0 —
+   logged through a recorder under --record/--explain. *)
+let run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine key =
+  let session = make_session ~cache_mb engine in
+  let resp =
+    handle_below_threshold (fun () ->
+        if record <> None || explain then begin
+          let recorder, finish_rec =
+            make_recorder ~record ~explain ~slow_ms session
+          in
+          Fun.protect ~finally:finish_rec (fun () ->
+              Olar_replay.Recorder.run recorder key)
+        end
+        else exec ~obs session (or_die (Olar_replay.Record.to_request key)))
+  in
+  report_cache session;
+  resp
+
 (* ------------------------------------------------------------------ *)
 (* gen *)
 
@@ -536,74 +566,42 @@ let items_cmd =
   in
   let run lattice_path minsup containing limit format output vocab_path cache_mb
       record explain slow_ms metrics trace =
-    let recording = record <> None || explain in
-    let obs, finish_obs = make_obs ~force:recording metrics trace in
+    let obs, finish_obs =
+      make_obs ~force:(record <> None || explain) metrics trace
+    in
     let engine = or_die (load_engine ~obs lattice_path) in
     let vocab = load_vocab vocab_path in
-    handle_below_threshold (fun () ->
-        let lat = Olar_core.Engine.lattice engine in
-        let db_size = Olar_core.Engine.db_size engine in
-        (* raw query (counts, not fractions), instrumented the same way
-           Engine.itemsets is *)
-        let query work =
-          Olar_core.Query.to_entries lat
-            (Olar_core.Query.find_itemsets ?work lat ~containing
-               ~minsup:(Olar_core.Engine.count_of_support engine minsup))
-        in
-        let session =
-          if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-          else None
-        in
-        let entries_of_ids ids =
-          Array.to_list
-            (Array.map
-               (fun v ->
-                 ( Olar_core.Lattice.itemset lat v,
-                   Olar_core.Lattice.support lat v ))
-               ids)
-        in
-        let entries, dt =
-          Olar_util.Timer.time (fun () ->
-              match session with
-              | Some s when recording ->
-                let recorder, finish_rec =
-                  make_recorder ~record ~explain ~slow_ms s
-                in
-                Fun.protect ~finally:finish_rec (fun () ->
-                    entries_of_ids
-                      (Olar_replay.Recorder.itemset_ids recorder ~containing
-                         ~minsup))
-              | Some s ->
-                entries_of_ids
-                  (Olar_serve.Session.itemset_ids s ~containing ~minsup)
-              | None -> (
-                match obs with
-                | None -> query None
-                | Some ctx ->
-                  Olar_obs.Obs.query_span ctx ~name:"itemsets"
-                    ~work:Olar_obs.Obs.Vertices query))
-        in
-        Option.iter report_cache session;
-        Fun.protect ~finally:finish_obs @@ fun () ->
-        match format with
-        | Csv -> emit output (Olar_core.Export.itemsets_to_csv ?vocab ~db_size entries)
-        | Json -> emit output (Olar_core.Export.itemsets_to_json ?vocab ~db_size entries)
-        | Text ->
-          let pp_set fmt x =
-            match vocab with
-            | None -> Itemset.pp fmt x
-            | Some v -> Itemset.pp_named v fmt x
-          in
-          Format.printf "%d itemsets (%.4fs):@." (List.length entries) dt;
-          List.iteri
-            (fun i (x, c) ->
-              if i < limit then
-                Format.printf "  %a  %.4f%%@." pp_set x
-                  (100.0 *. float_of_int c /. float_of_int db_size))
-            entries;
-          if List.length entries > limit then
-            Format.printf "  ... and %d more (raise --limit)@."
-              (List.length entries - limit))
+    let db_size = Olar_core.Engine.db_size engine in
+    let entries, dt =
+      Olar_util.Timer.time (fun () ->
+          match
+            run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine
+              (Olar_replay.Record.key ~containing ~minsup
+                 Olar_replay.Record.Find_itemsets)
+          with
+          | Olar_serve.Pool.R_items entries -> Array.to_list entries
+          | _ -> assert false)
+    in
+    Fun.protect ~finally:finish_obs @@ fun () ->
+    match format with
+    | Csv -> emit output (Olar_core.Export.itemsets_to_csv ?vocab ~db_size entries)
+    | Json -> emit output (Olar_core.Export.itemsets_to_json ?vocab ~db_size entries)
+    | Text ->
+      let pp_set fmt x =
+        match vocab with
+        | None -> Itemset.pp fmt x
+        | Some v -> Itemset.pp_named v fmt x
+      in
+      Format.printf "%d itemsets (%.4fs):@." (List.length entries) dt;
+      List.iteri
+        (fun i (x, c) ->
+          if i < limit then
+            Format.printf "  %a  %.4f%%@." pp_set x
+              (100.0 *. float_of_int c /. float_of_int db_size))
+        entries;
+      if List.length entries > limit then
+        Format.printf "  ... and %d more (raise --limit)@."
+          (List.length entries - limit)
   in
   Cmd.v
     (Cmd.info "items"
@@ -674,102 +672,72 @@ let rules_cmd =
   let run lattice_path minsup minconf containing all single antecedent consequent
       limit format output min_lift sort_by measures vocab_path cache_mb record
       explain slow_ms metrics trace =
-    let recording = record <> None || explain in
-    let obs, finish_obs = make_obs ~force:recording metrics trace in
+    let obs, finish_obs =
+      make_obs ~force:(record <> None || explain) metrics trace
+    in
     let engine = or_die (load_engine ~obs lattice_path) in
     let vocab = load_vocab vocab_path in
     let lat = Olar_core.Engine.lattice engine in
-    let constraints =
-      {
-        Olar_core.Boundary.unconstrained with
-        Olar_core.Boundary.antecedent_includes = antecedent;
-        consequent_includes = consequent;
-      }
+    let key =
+      let open Olar_replay.Record in
+      if single then key ~containing ~minsup ~minconf Single_consequent_rules
+      else
+        let constraints =
+          {
+            Olar_core.Boundary.unconstrained with
+            Olar_core.Boundary.antecedent_includes = antecedent;
+            consequent_includes = consequent;
+          }
+        in
+        key ~containing ~constraints ~minsup ~minconf
+          (if all then All_rules else Essential_rules)
     in
-    handle_below_threshold (fun () ->
-        let session =
-          if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-          else None
-        in
-        let rules, dt =
-          Olar_util.Timer.time (fun () ->
-              match session with
-              | Some s when recording ->
-                let recorder, finish_rec =
-                  make_recorder ~record ~explain ~slow_ms s
-                in
-                Fun.protect ~finally:finish_rec (fun () ->
-                    if single then
-                      Olar_replay.Recorder.single_consequent_rules ~containing
-                        recorder ~minsup ~minconf
-                    else if all then
-                      Olar_replay.Recorder.all_rules ~containing ~constraints
-                        recorder ~minsup ~minconf
-                    else
-                      Olar_replay.Recorder.essential_rules ~containing
-                        ~constraints recorder ~minsup ~minconf)
-              | Some s ->
-                if single then
-                  Olar_serve.Session.single_consequent_rules s ~containing
-                    ~minsup ~minconf
-                else if all then
-                  Olar_serve.Session.all_rules s ~containing ~constraints
-                    ~minsup ~minconf
-                else
-                  Olar_serve.Session.essential_rules s ~containing ~constraints
-                    ~minsup ~minconf
-              | None ->
-                if single then
-                  Olar_core.Engine.single_consequent_rules engine ~containing
-                    ~minsup ~minconf
-                else if all then
-                  Olar_core.Engine.all_rules engine ~containing ~constraints
-                    ~minsup ~minconf
-                else
-                  Olar_core.Engine.essential_rules engine ~containing
-                    ~constraints ~minsup ~minconf)
-        in
-        Option.iter report_cache session;
-        Fun.protect ~finally:finish_obs @@ fun () ->
-        let rules =
-          match min_lift with
-          | None -> rules
-          | Some min_lift -> Olar_core.Interest.filter_by lat rules ~min_lift
-        in
-        let rules =
-          match sort_by with
-          | None -> rules
-          | Some measure -> Olar_core.Interest.sort_by measure lat rules
-        in
-        let db_size = Olar_core.Engine.db_size engine in
-        let measures_lattice = if measures then Some lat else None in
-        let pp_rule fmt r =
-          match vocab with
-          | None -> Olar_core.Rule.pp fmt r
-          | Some v -> Olar_core.Rule.pp_named v fmt r
-        in
-        match format with
-        | Csv ->
-          emit output
-            (Olar_core.Export.rules_to_csv ?vocab ?measures:measures_lattice
-               ~db_size rules)
-        | Json ->
-          emit output
-            (Olar_core.Export.rules_to_json ?vocab ?measures:measures_lattice
-               ~db_size rules)
-        | Text ->
-          Format.printf "%d rules (%.4fs):@." (List.length rules) dt;
-          List.iteri
-            (fun i r ->
-              if i < limit then
-                if measures then
-                  Format.printf "  %a  [%a]@." pp_rule r Olar_core.Interest.pp
-                    (Olar_core.Interest.measures lat r)
-                else Format.printf "  %a@." pp_rule r)
-            rules;
-          if List.length rules > limit then
-            Format.printf "  ... and %d more (raise --limit)@."
-              (List.length rules - limit))
+    let rules, dt =
+      Olar_util.Timer.time (fun () ->
+          match run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine key with
+          | Olar_serve.Pool.R_rules rules -> rules
+          | _ -> assert false)
+    in
+    Fun.protect ~finally:finish_obs @@ fun () ->
+    let rules =
+      match min_lift with
+      | None -> rules
+      | Some min_lift -> Olar_core.Interest.filter_by lat rules ~min_lift
+    in
+    let rules =
+      match sort_by with
+      | None -> rules
+      | Some measure -> Olar_core.Interest.sort_by measure lat rules
+    in
+    let db_size = Olar_core.Engine.db_size engine in
+    let measures_lattice = if measures then Some lat else None in
+    let pp_rule fmt r =
+      match vocab with
+      | None -> Olar_core.Rule.pp fmt r
+      | Some v -> Olar_core.Rule.pp_named v fmt r
+    in
+    match format with
+    | Csv ->
+      emit output
+        (Olar_core.Export.rules_to_csv ?vocab ?measures:measures_lattice
+           ~db_size rules)
+    | Json ->
+      emit output
+        (Olar_core.Export.rules_to_json ?vocab ?measures:measures_lattice
+           ~db_size rules)
+    | Text ->
+      Format.printf "%d rules (%.4fs):@." (List.length rules) dt;
+      List.iteri
+        (fun i r ->
+          if i < limit then
+            if measures then
+              Format.printf "  %a  [%a]@." pp_rule r Olar_core.Interest.pp
+                (Olar_core.Interest.measures lat r)
+            else Format.printf "  %a@." pp_rule r)
+        rules;
+      if List.length rules > limit then
+        Format.printf "  ... and %d more (raise --limit)@."
+          (List.length rules - limit)
   in
   Cmd.v
     (Cmd.info "rules"
@@ -794,33 +762,25 @@ let count_cmd =
   in
   let run lattice_path minsup containing minconf cache_mb record explain slow_ms
       metrics trace =
-    let recording = record <> None || explain in
-    let obs, finish_obs = make_obs ~force:recording metrics trace in
+    let obs, finish_obs =
+      make_obs ~force:(record <> None || explain) metrics trace
+    in
     let engine = or_die (load_engine ~obs lattice_path) in
-    handle_below_threshold (fun () ->
-        let session =
-          if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-          else None
-        in
-        let n =
-          match session with
-          | Some s when recording ->
-            let recorder, finish_rec = make_recorder ~record ~explain ~slow_ms s in
-            Fun.protect ~finally:finish_rec (fun () ->
-                Olar_replay.Recorder.count_itemsets ~containing recorder ~minsup)
-          | Some s -> Olar_serve.Session.count_itemsets s ~containing ~minsup
-          | None -> Olar_core.Engine.count_itemsets engine ~containing ~minsup
-        in
-        Format.printf "itemsets: %d@." n;
-        (match minconf with
-        | None -> ()
-        | Some c ->
-          let r = Olar_core.Engine.redundancy ~containing engine ~minsup ~minconf:c in
-          Format.printf "rules:    %d total, %d essential (redundancy ratio %.2f)@."
-            r.Olar_core.Rulegen.total_rules r.Olar_core.Rulegen.essential_count
-            r.Olar_core.Rulegen.redundancy_ratio);
-        Option.iter report_cache session;
-        finish_obs ())
+    (match
+       run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine
+         (Olar_replay.Record.key ~containing ~minsup
+            Olar_replay.Record.Count_itemsets)
+     with
+    | Olar_serve.Pool.R_count n -> Format.printf "itemsets: %d@." n
+    | _ -> assert false);
+    (match minconf with
+    | None -> ()
+    | Some c ->
+      let r = Olar_core.Engine.redundancy ~containing engine ~minsup ~minconf:c in
+      Format.printf "rules:    %d total, %d essential (redundancy ratio %.2f)@."
+        r.Olar_core.Rulegen.total_rules r.Olar_core.Rulegen.essential_count
+        r.Olar_core.Rulegen.redundancy_ratio);
+    finish_obs ()
   in
   Cmd.v
     (Cmd.info "count"
@@ -847,59 +807,33 @@ let support_for_cmd =
   in
   let run lattice_path k containing minconf cache_mb record explain slow_ms
       metrics trace =
-    let recording = record <> None || explain in
-    let obs, finish_obs = make_obs ~force:recording metrics trace in
+    let obs, finish_obs =
+      make_obs ~force:(record <> None || explain) metrics trace
+    in
     let engine = or_die (load_engine ~obs lattice_path) in
-    let session =
-      if cache_mb > 0 || recording then Some (make_session ~cache_mb engine)
-      else None
+    let key =
+      let open Olar_replay.Record in
+      match minconf with
+      | None -> key ~containing ~k Support_for_k_itemsets
+      | Some c -> key ~containing ~minconf:c ~k Support_for_k_rules
     in
-    let recorder =
-      match session with
-      | Some s when recording -> Some (make_recorder ~record ~explain ~slow_ms s)
-      | _ -> None
+    let answer =
+      match run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine key with
+      | Olar_serve.Pool.R_level answer -> answer
+      | _ -> assert false
     in
-    let finish_rec () = Option.iter (fun (_, f) -> f ()) recorder in
-    Fun.protect ~finally:finish_rec @@ fun () ->
-    (match minconf with
-    | None -> (
-      let answer =
-        match (recorder, session) with
-        | Some (r, _), _ ->
-          Olar_replay.Recorder.support_for_k_itemsets r ~containing ~k
-        | None, Some s ->
-          Olar_serve.Session.support_for_k_itemsets s ~containing ~k
-        | None, None ->
-          Olar_core.Engine.support_for_k_itemsets engine ~containing ~k
-      in
-      match answer with
-      | Some level ->
-        Format.printf "exactly %d itemsets containing %a exist at minsup = %.4f%%@."
-          k Itemset.pp containing (100.0 *. level)
-      | None ->
-        Format.printf "fewer than %d itemsets containing %a are prestored@." k
-          Itemset.pp containing)
-    | Some c -> (
-      let answer =
-        match (recorder, session) with
-        | Some (r, _), _ ->
-          Olar_replay.Recorder.support_for_k_rules r ~involving:containing
-            ~minconf:c ~k
-        | None, Some s ->
-          Olar_serve.Session.support_for_k_rules s ~involving:containing
-            ~minconf:c ~k
-        | None, None ->
-          Olar_core.Engine.support_for_k_rules engine ~involving:containing
-            ~minconf:c ~k
-      in
-      match answer with
-      | Some level ->
-        Format.printf
-          "%d single-consequent rules at conf %.0f%% exist at minsup = %.4f%%@."
-          k (100.0 *. c) (100.0 *. level)
-      | None ->
-        Format.printf "fewer than %d such rules can be generated@." k));
-    Option.iter report_cache session;
+    (match (minconf, answer) with
+    | None, Some level ->
+      Format.printf "exactly %d itemsets containing %a exist at minsup = %.4f%%@."
+        k Itemset.pp containing (100.0 *. level)
+    | None, None ->
+      Format.printf "fewer than %d itemsets containing %a are prestored@." k
+        Itemset.pp containing
+    | Some c, Some level ->
+      Format.printf
+        "%d single-consequent rules at conf %.0f%% exist at minsup = %.4f%%@."
+        k (100.0 *. c) (100.0 *. level)
+    | Some _, None -> Format.printf "fewer than %d such rules can be generated@." k);
     finish_obs ()
   in
   Cmd.v
@@ -1218,7 +1152,8 @@ let replay_cmd =
     warn_domains domains;
     let obs, finish_obs = make_obs ~force:true metrics trace in
     let engine = or_die (load_engine ~obs lattice_path) in
-    let records = or_die (Olar_replay.Replay.load log_path) in
+    let records, torn = or_die (Olar_replay.Replay.load log_path) in
+    Option.iter (Format.eprintf "olar: %s@.") torn;
     let report, dt, session =
       match domains with
       | Some d ->
@@ -1235,7 +1170,7 @@ let replay_cmd =
               r.Olar_replay.Record.seq
               (Olar_replay.Record.kind_to_string r.Olar_replay.Record.kind)
               (Olar_replay.Fnv.to_hex r.Olar_replay.Record.digest)
-              (match Olar_replay.Replay.digest_response resp with
+              (match Olar_replay.Record.digest_response resp with
               | Some d -> Olar_replay.Fnv.to_hex d
               | None -> "<error>")
         in
@@ -1366,19 +1301,18 @@ let metrics_cmd =
       if not (Itemset.is_empty x) then
         max_item := max !max_item (Itemset.max_item x)
     done;
+    let query req = ignore (exec ~obs session req) in
     let workload () =
-      ignore (Olar_serve.Session.count_itemsets session ~minsup);
-      ignore (Olar_serve.Session.itemsets session ~minsup);
-      ignore (Olar_serve.Session.essential_rules session ~minsup ~minconf);
-      ignore
-        (Olar_serve.Session.support_for_k_itemsets session
-           ~containing:Itemset.empty ~k:10);
-      ignore
-        (Olar_serve.Session.support_for_k_rules session
-           ~involving:Itemset.empty ~minconf ~k:10);
+      let open Olar_serve.Pool in
+      let containing = Itemset.empty in
+      let constraints = Olar_core.Boundary.unconstrained in
+      query (Count_itemsets { containing; minsup });
+      query (Find_itemsets { containing; minsup });
+      query (Essential_rules { containing; constraints; minsup; minconf });
+      query (Support_for_k_itemsets { containing; k = 10 });
+      query (Support_for_k_rules { involving = containing; minconf; k = 10 });
       if not (Itemset.is_empty !boundary_target) then
-        ignore
-          (Olar_serve.Session.boundary session ~target:!boundary_target ~minconf)
+        query (Boundary { target = !boundary_target; constraints; minconf })
     in
     handle_below_threshold (fun () ->
         workload ();
@@ -1388,7 +1322,7 @@ let metrics_cmd =
              bump the epoch and exercise the append + invalidation path *)
           let rows = [ Itemset.to_list !boundary_target; [ !max_item ] ] in
           let delta = Database.of_lists ~num_items:(!max_item + 1) rows in
-          ignore (Olar_serve.Session.append session delta);
+          query (Olar_serve.Pool.Append delta);
           workload ()
         end);
     (match obs with

@@ -37,9 +37,7 @@ let print lattice out =
   print_int_line out "childoff" (Lattice.child_offsets lattice);
   print_int_line out "childbuf" (Lattice.child_edges lattice)
 
-let save lattice path =
-  let out = open_out path in
-  Fun.protect ~finally:(fun () -> close_out out) (fun () -> print lattice out)
+let save lattice path = Olar_util.Atomic_file.write path (print lattice)
 
 let header_int ~lineno ~key line =
   match String.split_on_char ' ' (String.trim line) with

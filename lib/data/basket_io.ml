@@ -55,6 +55,4 @@ let print vocab db out =
       output_char out '\n')
     db
 
-let save vocab db path =
-  let out = open_out path in
-  Fun.protect ~finally:(fun () -> close_out out) (fun () -> print vocab db out)
+let save vocab db path = Olar_util.Atomic_file.write path (print vocab db)

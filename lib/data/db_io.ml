@@ -17,9 +17,7 @@ let print db out =
       output_char out '\n')
     db
 
-let save db path =
-  let out = open_out path in
-  Fun.protect ~finally:(fun () -> close_out out) (fun () -> print db out)
+let save db path = Olar_util.Atomic_file.write path (print db)
 
 let malformed lineno fmt =
   Printf.ksprintf (fun s -> raise (Malformed (Printf.sprintf "line %d: %s" lineno s))) fmt

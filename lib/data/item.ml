@@ -43,10 +43,7 @@ module Vocab = struct
   let names v = Olar_util.Vec.to_list v.by_id
 
   let save v path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
+    Olar_util.Atomic_file.write path (fun oc ->
         Olar_util.Vec.iter
           (fun name ->
             output_string oc name;

@@ -1,7 +1,6 @@
 open Olar_data
 module Pool = Olar_serve.Pool
 module Record = Olar_replay.Record
-module Replay = Olar_replay.Replay
 module Fnv = Olar_replay.Fnv
 module Jsonx = Olar_obs.Jsonx
 module Metrics = Olar_obs.Metrics
@@ -68,28 +67,23 @@ type waiter = {
   mutable domain : int; (* Domain.self of the executing domain *)
 }
 
-(* What the post-write books — trace, slow ring — need to know about
-   one served query. The absolute execute window lets /statusz taint a
-   slow entry with GC pauses lazily at render time (the eventring poller
-   may record a pause after the entry is pushed; matching at read time
+(* One served query, built once after the response bytes are out: what
+   the sampled trace, the stderr slow line and the /statusz slow ring
+   all report. The absolute execute window lets /statusz taint a slow
+   entry with GC pauses lazily at render time (the eventring poller may
+   record a pause after the entry is pushed; matching at read time
    misses nothing). *)
 type served = {
   id : int; (* server-global request id, from the HTTP front door *)
   kind : string;
+  status : int;
   t0 : float; (* monotonic at parse start *)
   exec_domain : int;
   exec_t0 : float;
   exec_t1 : float;
-}
-
-(* One entry of the slow-request ring: everything /statusz needs to
-   show about a request that crossed the --slow-ms threshold. *)
-type slow_entry = {
-  s_req : served;
-  s_status : int;
-  s_total_s : float;
-  s_phases : float array; (* indexed as [phase_names], seconds *)
-  s_uptime_s : float; (* server uptime at completion *)
+  phases : float array; (* indexed as [phase_names], seconds *)
+  total_s : float;
+  uptime_s : float; (* server uptime at completion *)
 }
 
 type t = {
@@ -131,7 +125,7 @@ type t = {
   started_s : float; (* monotonic at create; anchors /statusz uptime *)
   (* slow-request ring (newest overwrite oldest) *)
   slow_mu : Mutex.t;
-  slow_ring : slow_entry option array;
+  slow_ring : served option array;
   mutable slow_seen : int; (* total requests over the threshold *)
   (* admission: admitted queries that have not completed *)
   inflight : int Atomic.t;
@@ -153,18 +147,6 @@ type t = {
 
 let itemset_json x =
   Jsonx.Arr (List.map (fun i -> Jsonx.Int i) (Itemset.to_list x))
-
-(* Mirrors {!Olar_replay.Recorder}'s result_size per kind, so captured
-   records look exactly like CLI --record ones. *)
-let result_size = function
-  | Pool.R_items entries -> Array.length entries
-  | Pool.R_count c -> c
-  | Pool.R_rules rules -> List.length rules
-  | Pool.R_level (Some _) -> 1
-  | Pool.R_level None -> 0
-  | Pool.R_entries entries -> List.length entries
-  | Pool.R_promoted { promoted; _ } -> List.length promoted
-  | Pool.R_error _ -> 0
 
 let result_fields = function
   | Pool.R_items entries ->
@@ -240,7 +222,7 @@ let error_response ?headers ~status msg =
    after the bytes are out. *)
 let ok_response resp ~id ~latency_s ~total_s =
   let digest =
-    match Replay.digest_response resp with
+    match Record.digest_response resp with
     | Some d -> d
     | None -> Fnv.empty (* unreachable: R_error never takes this path *)
   in
@@ -249,7 +231,7 @@ let ok_response resp ~id ~latency_s ~total_s =
        ("status", Jsonx.Str "ok");
        ("id", Jsonx.Int id);
        ("digest", Jsonx.Str (Fnv.to_hex digest));
-       ("size", Jsonx.Int (result_size resp));
+       ("size", Jsonx.Int (Record.result_size resp));
        ("lat_s", Jsonx.Float latency_s);
        ("total_s", Jsonx.Float total_s);
      ]
@@ -307,32 +289,24 @@ let admit t =
    executing domain, so capture lands in completion order: for a single
    client — one outstanding request at a time — that is exactly
    submission order, preserving the digest-exact replay property of
-   single-client captures. Mirrors Recorder: a query that errored emits
-   nothing and does not advance the sequence. *)
+   single-client captures. A query that errored builds no record and
+   does not advance the sequence. The epoch is the executing domain's
+   adopted view: with non-blocking appends, [Pool.engine t.pool] may
+   already be a generation ahead of the snapshot this response was
+   computed on. *)
 let record_one t (key : Record.t) resp (c : Pool.completion) =
   match t.rec_oc with
   | None -> ()
   | Some oc -> (
-    match Replay.digest_response resp with
+    match
+      Record.with_outcome key ~seq:0 ~cache:Record.Passthrough
+        ~latency_s:c.Pool.latency_s ~vertices:0 ~heap_pops:0
+        ~epoch:c.Pool.epoch resp
+    with
     | None -> ()
-    | Some digest ->
+    | Some r ->
       Mutex.lock t.rec_mu;
-      let r =
-        {
-          key with
-          Record.seq = t.rec_seq;
-          cache = Record.Passthrough;
-          digest;
-          result_size = result_size resp;
-          latency_s = c.Pool.latency_s;
-          vertices = 0;
-          heap_pops = 0;
-          (* the executing domain's adopted view: with non-blocking
-             appends, [Pool.engine t.pool] may already be a generation
-             ahead of the snapshot this response was computed on *)
-          epoch = c.Pool.epoch;
-        }
-      in
+      let r = { r with Record.seq = t.rec_seq } in
       t.rec_seq <- t.rec_seq + 1;
       output_string oc (Record.to_json_line r);
       output_char oc '\n';
@@ -435,20 +409,19 @@ let ticker_loop t =
 
 let clamp0 x = Float.max 0.0 x
 
-let push_slow t entry =
+let push_slow t q =
   Mutex.lock t.slow_mu;
   let cap = Array.length t.slow_ring in
-  if cap > 0 then t.slow_ring.(t.slow_seen mod cap) <- Some entry;
+  if cap > 0 then t.slow_ring.(t.slow_seen mod cap) <- Some q;
   t.slow_seen <- t.slow_seen + 1;
   Mutex.unlock t.slow_mu;
-  let ms i = entry.s_phases.(i) *. 1e3 in
+  let ms i = q.phases.(i) *. 1e3 in
   Printf.eprintf
     "olar-serve: slow request id=%d kind=%s status=%d domain=%d total=%.1fms \
      (parse=%.1f queue=%.1f dispatch=%.1f execute=%.1f deliver=%.1f \
      write=%.1f)\n\
      %!"
-    entry.s_req.id entry.s_req.kind entry.s_status entry.s_req.exec_domain
-    (entry.s_total_s *. 1e3)
+    q.id q.kind q.status q.exec_domain (q.total_s *. 1e3)
     (ms 0) (ms 1) (ms 2) (ms 3) (ms 4) (ms 5)
 
 (* Emit one sampled per-request trace: six phase children (child-first)
@@ -456,7 +429,7 @@ let push_slow t entry =
    connection thread never touches the stack tracer — domain 0's stack
    belongs to whichever thread holds the pool's intake lock — so the
    spans are injected prebuilt into the calling thread's shard. *)
-let inject_request_trace t q ~status ~phases ~total_s =
+let inject_request_trace t q =
   match Option.bind t.obs_ctx Obs.tracing with
   | None -> ()
   | Some sh ->
@@ -466,36 +439,44 @@ let inject_request_trace t q ~status ~phases ~total_s =
       (fun i name ->
         ignore
           (Olar_obs.Trace.Sharded.inject sh ~parent:root ~depth:1
-             ~name:("phase." ^ name) ~start_s:!start ~duration_s:phases.(i) []);
-        start := !start +. phases.(i))
+             ~name:("phase." ^ name) ~start_s:!start ~duration_s:q.phases.(i)
+             []);
+        start := !start +. q.phases.(i))
       phase_names;
     ignore
       (Olar_obs.Trace.Sharded.inject sh ~id:root ~depth:0 ~name:"http.request"
-         ~start_s:q.t0 ~duration_s:total_s
+         ~start_s:q.t0 ~duration_s:q.total_s
          [
            ("request", Olar_obs.Trace.Int q.id);
            ("kind", Olar_obs.Trace.Str q.kind);
-           ("status", Olar_obs.Trace.Int status);
+           ("status", Olar_obs.Trace.Int q.status);
            ("exec_domain", Olar_obs.Trace.Int q.exec_domain);
          ])
 
 (* After the response bytes are out: close the books on one served
-   query — write-phase histogram, sampled trace, slow-request log. *)
-let finish_query t q ~status ~sampled ~phases ~write_s =
+   query — write-phase histogram, then the one [served] record the
+   sampled trace and the slow-request log report. *)
+let finish_query t ~id ~kind ~status ~t0 ~exec_domain ~exec_t0 ~exec_t1
+    ~sampled ~phases ~write_s =
   let write_s = clamp0 write_s in
   phases.(5) <- write_s;
   Metrics.Histogram.observe t.h_phase.(5) write_s;
-  let total_s = Array.fold_left ( +. ) 0.0 phases in
-  if sampled then inject_request_trace t q ~status ~phases ~total_s;
-  if total_s >= t.cfg.slow_s then
-    push_slow t
-      {
-        s_req = q;
-        s_status = status;
-        s_total_s = total_s;
-        s_phases = phases;
-        s_uptime_s = clamp0 (Timer.monotonic_s () -. t.started_s);
-      }
+  let q =
+    {
+      id;
+      kind;
+      status;
+      t0;
+      exec_domain;
+      exec_t0;
+      exec_t1;
+      phases;
+      total_s = Array.fold_left ( +. ) 0.0 phases;
+      uptime_s = clamp0 (Timer.monotonic_s () -. t.started_s);
+    }
+  in
+  if sampled then inject_request_trace t q;
+  if q.total_s >= t.cfg.slow_s then push_slow t q
 
 (* ------------------------------------------------------------------ *)
 (* /statusz                                                           *)
@@ -592,32 +573,31 @@ let health_json t =
 (* [gc_pause_s] is the tainting verdict: the longest recorded GC pause
    overlapping this entry's execute window, resolved lazily at render
    time so pauses polled after the entry was pushed still count. *)
-let slow_entry_json ?gc_pause_s e =
+let slow_entry_json ?gc_pause_s q =
   Jsonx.Obj
     [
-      ("id", Jsonx.Int e.s_req.id);
-      ("kind", Jsonx.Str e.s_req.kind);
-      ("status", Jsonx.Int e.s_status);
-      ("domain", Jsonx.Int e.s_req.exec_domain);
-      ("total_ms", Jsonx.Float (e.s_total_s *. 1e3));
+      ("id", Jsonx.Int q.id);
+      ("kind", Jsonx.Str q.kind);
+      ("status", Jsonx.Int q.status);
+      ("domain", Jsonx.Int q.exec_domain);
+      ("total_ms", Jsonx.Float (q.total_s *. 1e3));
       ( "phases_ms",
         Jsonx.Obj
           (Array.to_list
              (Array.mapi
-                (fun i name -> (name, Jsonx.Float (e.s_phases.(i) *. 1e3)))
+                (fun i name -> (name, Jsonx.Float (q.phases.(i) *. 1e3)))
                 phase_names)) );
       ( "gc_pause_ms",
         match gc_pause_s with
         | Some s -> Jsonx.Float (s *. 1e3)
         | None -> Jsonx.Null );
-      ("uptime_s", Jsonx.Float e.s_uptime_s);
+      ("uptime_s", Jsonx.Float q.uptime_s);
     ]
 
-let taint_slow t e =
+let taint_slow t q =
   match t.runtime_obs with
   | None -> None
-  | Some ro ->
-    Runtime_obs.pause_overlapping ro ~t0:e.s_req.exec_t0 ~t1:e.s_req.exec_t1 ()
+  | Some ro -> Runtime_obs.pause_overlapping ro ~t0:q.exec_t0 ~t1:q.exec_t1 ()
 
 (* Snapshot the slow ring, newest first. *)
 let slow_snapshot t =
@@ -738,7 +718,7 @@ let handle_query t w ~rid ~t0 body =
   match Record.key_of_json_line body with
   | Error e -> fail ("invalid query key: " ^ e)
   | Ok key -> (
-    match Replay.request_of_record key with
+    match Record.to_request key with
     | Error e -> fail ("incomplete query key: " ^ e)
     | Ok req -> (
       Counter.incr t.c_queries;
@@ -793,25 +773,18 @@ let handle_query t w ~rid ~t0 body =
               ( 200,
                 ok_response resp ~id:rid ~latency_s:c.Pool.latency_s ~total_s )
           in
-          let q =
-            {
-              id = rid;
-              kind = Record.kind_to_string key.Record.kind;
-              t0;
-              exec_domain = w.domain;
-              exec_t0;
-              exec_t1 = w.t_done;
-            }
-          in
           let sampled =
             t.cfg.trace_sample > 0
             && Option.bind t.obs_ctx Obs.tracing <> None
             && rid mod t.cfg.trace_sample = 0
           in
+          let kind = Record.kind_to_string key.Record.kind in
+          let exec_domain = w.domain and exec_t1 = w.t_done in
           ( body,
             Some
-              (fun write_s -> finish_query t q ~status ~sampled ~phases ~write_s)
-          )
+              (fun write_s ->
+                finish_query t ~id:rid ~kind ~status ~t0 ~exec_domain ~exec_t0
+                  ~exec_t1 ~sampled ~phases ~write_s) )
         end))
 
 (* The GET status/headers/body of each read-only endpoint, shared by

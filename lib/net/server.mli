@@ -99,9 +99,10 @@
     [olar replay] against the pre-serving lattice. Captured seq numbers
     are server-global in completion order (which, for a single
     sequential client, is submission order — the case replay verifies
-    digest-exactly); queries that shed or
-    error are not recorded (mirroring {!Olar_replay.Recorder}, which
-    emits nothing for a query that raises).
+    digest-exactly). Each line is built by
+    {!Olar_replay.Record.with_outcome}, the record builder the CLI's
+    recorder uses; queries that shed or error are not recorded and do
+    not advance the sequence.
 
     {2 Shutdown}
 

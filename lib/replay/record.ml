@@ -1,5 +1,6 @@
 open Olar_data
 module Jsonx = Olar_obs.Jsonx
+module Pool = Olar_serve.Pool
 
 type kind =
   | Find_itemsets
@@ -254,6 +255,132 @@ let decode ~strict line =
 
 let of_json_line line = decode ~strict:true line
 let key_of_json_line line = decode ~strict:false line
+
+(* ------------------------------------------------------------------ *)
+(* The key as a pool request, the response as an outcome             *)
+(* ------------------------------------------------------------------ *)
+
+let key ?(containing = Itemset.empty)
+    ?(constraints = Olar_core.Boundary.unconstrained) ?minsup ?minconf ?k
+    ?delta kind =
+  {
+    seq = 0;
+    kind;
+    containing;
+    antecedent_includes = constraints.antecedent_includes;
+    consequent_includes = constraints.consequent_includes;
+    allow_empty_antecedent = constraints.allow_empty_antecedent;
+    minsup;
+    minconf;
+    k;
+    delta =
+      (match delta with
+      | None -> []
+      | Some db ->
+        List.rev (Database.fold (fun acc txn -> Itemset.to_list txn :: acc) [] db));
+    delta_num_items = (match delta with None -> 0 | Some db -> Database.num_items db);
+    cache = Passthrough;
+    digest = Fnv.empty;
+    result_size = 0;
+    latency_s = 0.0;
+    vertices = 0;
+    heap_pops = 0;
+    epoch = 0;
+  }
+
+let to_request r =
+  let get name = function
+    | Some v -> v
+    | None -> fail "record is missing %s" name
+  in
+  let minsup () = get "minsup" r.minsup in
+  let minconf () = get "minconf" r.minconf in
+  let constraints =
+    {
+      Olar_core.Boundary.antecedent_includes = r.antecedent_includes;
+      consequent_includes = r.consequent_includes;
+      allow_empty_antecedent = r.allow_empty_antecedent;
+    }
+  in
+  let containing = r.containing in
+  try
+    Ok
+      (match r.kind with
+      | Find_itemsets -> Pool.Find_itemsets { containing; minsup = minsup () }
+      | Count_itemsets -> Pool.Count_itemsets { containing; minsup = minsup () }
+      | Essential_rules ->
+        let minsup = minsup () in
+        Pool.Essential_rules
+          { containing; constraints; minsup; minconf = minconf () }
+      | All_rules ->
+        let minsup = minsup () in
+        Pool.All_rules { containing; constraints; minsup; minconf = minconf () }
+      | Single_consequent_rules ->
+        let minsup = minsup () in
+        Pool.Single_consequent_rules { containing; minsup; minconf = minconf () }
+      | Support_for_k_itemsets ->
+        Pool.Support_for_k_itemsets { containing; k = get "k" r.k }
+      | Support_for_k_rules ->
+        let minconf = minconf () in
+        Pool.Support_for_k_rules
+          { involving = containing; minconf; k = get "k" r.k }
+      | Boundary ->
+        Pool.Boundary { target = containing; constraints; minconf = minconf () }
+      | Append ->
+        if r.delta_num_items <= 0 then fail "append record is missing num_items";
+        Pool.Append (Database.of_lists ~num_items:r.delta_num_items r.delta))
+  with Bad e -> Error e
+
+let digest_response = function
+  | Pool.R_items entries ->
+    Some
+      (Array.fold_left
+         (fun h (x, count) -> Fnv.int (Fnv.itemset h x) count)
+         Fnv.empty entries)
+  | Pool.R_count c -> Some (Fnv.int Fnv.empty c)
+  | Pool.R_rules rules ->
+    Some
+      (List.fold_left
+         (fun h (r : Olar_core.Rule.t) ->
+           let h = Fnv.itemset (Fnv.itemset h r.antecedent) r.consequent in
+           Fnv.int (Fnv.int h r.support_count) r.antecedent_count)
+         Fnv.empty rules)
+  | Pool.R_level None -> Some (Fnv.int Fnv.empty 0)
+  | Pool.R_level (Some level) -> Some (Fnv.float (Fnv.int Fnv.empty 1) level)
+  | Pool.R_entries entries ->
+    Some
+      (List.fold_left
+         (fun h (x, s) -> Fnv.float (Fnv.itemset h x) s)
+         Fnv.empty entries)
+  | Pool.R_promoted { promoted; db_size } ->
+    Some (Fnv.int (List.fold_left Fnv.itemset Fnv.empty promoted) db_size)
+  | Pool.R_error _ -> None
+
+let result_size = function
+  | Pool.R_items entries -> Array.length entries
+  | Pool.R_count c -> c
+  | Pool.R_rules rules -> List.length rules
+  | Pool.R_level (Some _) -> 1
+  | Pool.R_level None -> 0
+  | Pool.R_entries entries -> List.length entries
+  | Pool.R_promoted { promoted; _ } -> List.length promoted
+  | Pool.R_error _ -> 0
+
+let with_outcome key ~seq ~cache ~latency_s ~vertices ~heap_pops ~epoch resp =
+  Option.map
+    (fun digest ->
+      {
+        key with
+        seq;
+        cache;
+        digest;
+        result_size = result_size resp;
+        latency_s;
+        vertices;
+        heap_pops;
+        epoch;
+      })
+    (digest_response resp)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN rendering                                                  *)

@@ -82,6 +82,71 @@ val key_to_json_line : t -> string
     unknown kinds are still rejected. *)
 val key_of_json_line : string -> (t, string) result
 
+(** {1 The request vocabulary}
+
+    A record key, an {!Olar_serve.Pool.request} and an
+    {!Olar_serve.Pool.response} are the one vocabulary every entry
+    point speaks: the CLI, the {!Recorder}, {!Replay}, the pool and the
+    serving daemon all convert a key with {!to_request}, execute it with
+    {!Olar_serve.Pool.exec}, and describe the response with
+    {!digest_response} and {!result_size}. *)
+
+(** [key kind] is a query key with no outcome (seq 0, cache
+    [Passthrough], empty digest, zero cost — what
+    {!key_of_json_line} yields for a bare key). [containing] is the
+    start itemset (the [involving] set of a rule-support key, the
+    target of a boundary key); [constraints] default to
+    {!Olar_core.Boundary.unconstrained}; [delta] is an append's batch. *)
+val key :
+  ?containing:Itemset.t ->
+  ?constraints:Olar_core.Boundary.constraints ->
+  ?minsup:float ->
+  ?minconf:float ->
+  ?k:int ->
+  ?delta:Database.t ->
+  kind ->
+  t
+
+(** [to_request r] is the pool request for [r]'s query key, or [Error]
+    when the key is structurally incomplete (e.g. a find without
+    minsup, an append without [num_items]). *)
+val to_request : t -> (Olar_serve.Pool.request, string) result
+
+(** [digest_response resp] is the FNV-1a digest of a response, [None]
+    for {!Olar_serve.Pool.R_error} (an error has no digestible result).
+    The digest semantics are the replay contract (DESIGN.md §9):
+    itemset answers digest each (itemset, integer support count) in
+    canonical order; counts digest the count; rule answers digest each
+    (antecedent, consequent, support count, antecedent count) in
+    generation order; FindSupport answers digest a presence tag then
+    the bits of the fractional level; boundary answers digest each
+    (itemset, fractional support bits) in kernel order; appends digest
+    the promotion frontier and the new database size. *)
+val digest_response : Olar_serve.Pool.response -> Fnv.t option
+
+(** [result_size resp] is the record's [result_size] for a response:
+    itemsets, rules or entries returned, the count itself for a count,
+    1 or 0 for a FindSupport level, the promotion frontier's length for
+    an append, 0 for an error. *)
+val result_size : Olar_serve.Pool.response -> int
+
+(** [with_outcome key ~seq ~cache ~latency_s ~vertices ~heap_pops
+    ~epoch resp] is [key] stamped with the outcome of one execution:
+    the given sequence number, cache path and cost, and the digest and
+    size of [resp]. [None] for an {!Olar_serve.Pool.R_error}, which is
+    never recorded. The {!Recorder} and the serving daemon's capture
+    both build their records here. *)
+val with_outcome :
+  t ->
+  seq:int ->
+  cache:cache_path ->
+  latency_s:float ->
+  vertices:int ->
+  heap_pops:int ->
+  epoch:int ->
+  Olar_serve.Pool.response ->
+  t option
+
 (** [pp ppf r] renders the record as a human-readable EXPLAIN block:
     the query key on the first line, outcome (cache path, size, digest)
     on the second, cost (latency, work counters) on the third. *)

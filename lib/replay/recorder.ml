@@ -1,9 +1,6 @@
-open Olar_data
 module Session = Olar_serve.Session
+module Pool = Olar_serve.Pool
 module Engine = Olar_core.Engine
-module Lattice = Olar_core.Lattice
-module Boundary = Olar_core.Boundary
-module Rule = Olar_core.Rule
 module Obs = Olar_obs.Obs
 module Counter = Olar_util.Timer.Counter
 
@@ -46,14 +43,15 @@ let path_of = function
   | Session.Miss -> Record.Miss
   | Session.Passthrough -> Record.Passthrough
 
-(* Run one query, time it, attribute work, and emit its record. An
-   exception from [f] propagates before any record is built. *)
-let recorded t ~kind ?(containing = Itemset.empty)
-    ?(constraints = Boundary.unconstrained) ?minsup ?minconf ?k ?(delta = [])
-    ?(delta_num_items = 0) ~digest ~size f =
+(* An exception from the conversion or the executor propagates before
+   the sequence number moves or any record is built. *)
+let run t key =
+  let req =
+    match Record.to_request key with Ok req -> req | Error e -> failwith e
+  in
   let v0 = value t.work_v and h0 = value t.work_h in
   let t0 = t.clock () in
-  let result = f () in
+  let resp = Pool.exec t.session req in
   (* The default clock is monotone, but an injected one (or a platform
      where only a steppable wall clock exists) may run backwards;
      a latency must never be negative, so clamp. *)
@@ -61,135 +59,12 @@ let recorded t ~kind ?(containing = Itemset.empty)
   let seq = t.seq in
   t.seq <- seq + 1;
   if latency_s >= t.slow_s then
-    t.emit
-      {
-        Record.seq;
-        kind;
-        containing;
-        antecedent_includes = constraints.Boundary.antecedent_includes;
-        consequent_includes = constraints.Boundary.consequent_includes;
-        allow_empty_antecedent = constraints.Boundary.allow_empty_antecedent;
-        minsup;
-        minconf;
-        k;
-        delta;
-        delta_num_items;
-        cache = path_of (Session.last_path t.session);
-        digest = digest result;
-        result_size = size result;
-        latency_s;
-        vertices = value t.work_v - v0;
-        heap_pops = value t.work_h - h0;
-        epoch = Engine.epoch (Session.engine t.session);
-      };
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Digest definitions (one per result shape)                          *)
-(* ------------------------------------------------------------------ *)
-
-let digest_items entries =
-  Array.fold_left
-    (fun h (x, count) -> Fnv.int (Fnv.itemset h x) count)
-    Fnv.empty entries
-
-let digest_ids lat ids =
-  Array.fold_left
-    (fun h v -> Fnv.int (Fnv.itemset h (Lattice.itemset lat v)) (Lattice.support lat v))
-    Fnv.empty ids
-
-let digest_rules rules =
-  List.fold_left
-    (fun h r ->
-      let h = Fnv.itemset h r.Rule.antecedent in
-      let h = Fnv.itemset h r.Rule.consequent in
-      let h = Fnv.int h r.Rule.support_count in
-      Fnv.int h r.Rule.antecedent_count)
-    Fnv.empty rules
-
-let digest_level = function
-  | None -> Fnv.int Fnv.empty 0
-  | Some level -> Fnv.float (Fnv.int Fnv.empty 1) level
-
-let digest_entries entries =
-  List.fold_left
-    (fun h (x, s) -> Fnv.float (Fnv.itemset h x) s)
-    Fnv.empty entries
-
-let digest_promoted ~db_size promoted =
-  Fnv.int (List.fold_left Fnv.itemset Fnv.empty promoted) db_size
-
-(* ------------------------------------------------------------------ *)
-(* Entry points                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let itemset_ids ?(containing = Itemset.empty) t ~minsup =
-  let lat = Engine.lattice (Session.engine t.session) in
-  recorded t ~kind:Record.Find_itemsets ~containing ~minsup
-    ~digest:(digest_ids lat) ~size:Array.length (fun () ->
-      Session.itemset_ids ~containing t.session ~minsup)
-
-let itemsets ?containing t ~minsup =
-  let ids = itemset_ids ?containing t ~minsup in
-  let engine = Session.engine t.session in
-  let lat = Engine.lattice engine in
-  let db = float_of_int (max 1 (Engine.db_size engine)) in
-  Array.to_list
-    (Array.map
-       (fun v -> (Lattice.itemset lat v, float_of_int (Lattice.support lat v) /. db))
-       ids)
-
-let count_itemsets ?(containing = Itemset.empty) t ~minsup =
-  recorded t ~kind:Record.Count_itemsets ~containing ~minsup
-    ~digest:(Fnv.int Fnv.empty) ~size:Fun.id (fun () ->
-      Session.count_itemsets ~containing t.session ~minsup)
-
-let rule_query t kind ?(containing = Itemset.empty) ?constraints compute
-    ~minsup ~minconf =
-  recorded t ~kind ~containing ?constraints ~minsup ~minconf
-    ~digest:digest_rules ~size:List.length compute
-
-let essential_rules ?containing ?constraints t ~minsup ~minconf =
-  rule_query t Record.Essential_rules ?containing ?constraints ~minsup ~minconf
-    (fun () ->
-      Session.essential_rules ?containing ?constraints t.session ~minsup
-        ~minconf)
-
-let all_rules ?containing ?constraints t ~minsup ~minconf =
-  rule_query t Record.All_rules ?containing ?constraints ~minsup ~minconf
-    (fun () ->
-      Session.all_rules ?containing ?constraints t.session ~minsup ~minconf)
-
-let single_consequent_rules ?containing t ~minsup ~minconf =
-  rule_query t Record.Single_consequent_rules ?containing ~minsup ~minconf
-    (fun () ->
-      Session.single_consequent_rules ?containing t.session ~minsup ~minconf)
-
-let support_for_k_itemsets t ~containing ~k =
-  recorded t ~kind:Record.Support_for_k_itemsets ~containing ~k
-    ~digest:digest_level
-    ~size:(function Some _ -> 1 | None -> 0)
-    (fun () -> Session.support_for_k_itemsets t.session ~containing ~k)
-
-let support_for_k_rules t ~involving ~minconf ~k =
-  recorded t ~kind:Record.Support_for_k_rules ~containing:involving ~minconf ~k
-    ~digest:digest_level
-    ~size:(function Some _ -> 1 | None -> 0)
-    (fun () -> Session.support_for_k_rules t.session ~involving ~minconf ~k)
-
-let boundary ?constraints t ~target ~minconf =
-  recorded t ~kind:Record.Boundary ~containing:target ?constraints ~minconf
-    ~digest:digest_entries ~size:List.length (fun () ->
-      Session.boundary ?constraints t.session ~target ~minconf)
-
-let append ?domains t delta =
-  let rows =
-    List.rev (Database.fold (fun acc txn -> Itemset.to_list txn :: acc) [] delta)
-  in
-  recorded t ~kind:Record.Append ~delta:rows
-    ~delta_num_items:(Database.num_items delta)
-    ~digest:(fun promoted ->
-      digest_promoted promoted
-        ~db_size:(Engine.db_size (Session.engine t.session)))
-    ~size:List.length
-    (fun () -> Session.append ?domains t.session delta)
+    Option.iter t.emit
+      (Record.with_outcome key ~seq
+         ~cache:(path_of (Session.last_path t.session))
+         ~latency_s
+         ~vertices:(value t.work_v - v0)
+         ~heap_pops:(value t.work_h - h0)
+         ~epoch:(Engine.epoch (Session.engine t.session))
+         resp);
+  resp

@@ -1,13 +1,17 @@
-(** Workload capture: a recording façade over {!Olar_serve.Session}.
+(** Workload capture: execute query keys on a {!Olar_serve.Session}
+    and log each one.
 
-    Every query function mirrors the session function of the same name
-    — same arguments, same results, same exceptions — and additionally
-    emits one {!Record.t} describing the call: the full query key, the
-    FNV-1a digest of the canonical-order result, the result size, the
-    wall-clock latency, the traversal work attributed to the call (read
-    as deltas of the engine context's shared work counters, so cached
-    and uncached paths are costed identically), and the cache path the
-    session took ({!Olar_serve.Session.last_path}).
+    {!run} takes a {!Record.t} query key, converts it to a pool request
+    ({!Record.to_request}), executes it with the serial executor
+    {!Olar_serve.Pool.exec} and returns the response. It also emits
+    one {!Record.t} describing the call: the key, stamped by
+    {!Record.with_outcome} with the sequence number, the digest and
+    size of the response, the wall-clock latency, the traversal work
+    attributed to the call, and the cache path the session took
+    ({!Olar_serve.Session.last_path}). Work is read as deltas of the
+    engine context's shared work counters, so cached and uncached
+    paths are costed identically (zero when the engine has no obs
+    context).
 
     Records reach the caller through [emit] — typically
     {!Record.to_json_line} appended to a jsonl file, or {!Record.pp}
@@ -17,18 +21,8 @@
     each record's position in the session).
 
     A query that raises emits nothing — there is no result to digest —
-    and the sequence number does not advance.
-
-    {b Digest semantics} (the replay contract, see DESIGN.md §9):
-    itemset answers digest each (itemset, integer support count) in
-    canonical order; counts digest the count; rule answers digest each
-    (antecedent, consequent, support count, antecedent count) in
-    generation order; FindSupport answers digest a presence tag then
-    the bits of the fractional level; boundary answers digest each
-    (itemset, fractional support bits) in kernel order; appends digest
-    the promotion frontier and the new database size. *)
-
-open Olar_data
+    and the sequence number does not advance. The digest semantics are
+    {!Record.digest_response}'s. *)
 
 type t
 
@@ -51,62 +45,12 @@ val session : t -> Olar_serve.Session.t
     ones below the slow threshold). *)
 val count : t -> int
 
-val itemsets :
-  ?containing:Itemset.t -> t -> minsup:float -> (Itemset.t * float) list
-
-val itemset_ids :
-  ?containing:Itemset.t -> t -> minsup:float -> Olar_core.Lattice.vertex_id array
-
-val count_itemsets : ?containing:Itemset.t -> t -> minsup:float -> int
-
-val essential_rules :
-  ?containing:Itemset.t ->
-  ?constraints:Olar_core.Boundary.constraints ->
-  t ->
-  minsup:float ->
-  minconf:float ->
-  Olar_core.Rule.t list
-
-val all_rules :
-  ?containing:Itemset.t ->
-  ?constraints:Olar_core.Boundary.constraints ->
-  t ->
-  minsup:float ->
-  minconf:float ->
-  Olar_core.Rule.t list
-
-val single_consequent_rules :
-  ?containing:Itemset.t -> t -> minsup:float -> minconf:float -> Olar_core.Rule.t list
-
-val support_for_k_itemsets : t -> containing:Itemset.t -> k:int -> float option
-
-val support_for_k_rules :
-  t -> involving:Itemset.t -> minconf:float -> k:int -> float option
-
-val boundary :
-  ?constraints:Olar_core.Boundary.constraints ->
-  t ->
-  target:Itemset.t ->
-  minconf:float ->
-  (Itemset.t * float) list
-
-val append : ?domains:int -> t -> Database.t -> Itemset.t list
-
-(** {1 Digest definitions}
-
-    The digest of each result shape, exposed so pool replay
-    ({!Replay.run_pool}) and the stress harness hash by-value results
-    with exactly the semantics this recorder captures. *)
-
-(** [digest_items entries] digests (itemset, support count) pairs in
-    the given (canonical) order — the digest of a find-itemsets
-    answer. *)
-val digest_items : (Itemset.t * int) array -> Fnv.t
-
-val digest_rules : Olar_core.Rule.t list -> Fnv.t
-val digest_level : float option -> Fnv.t
-val digest_entries : (Itemset.t * float) list -> Fnv.t
-
-(** [digest_promoted ~db_size promoted] is the append digest: the
-    promotion frontier then the post-append database size. *)
-val digest_promoted : db_size:int -> Itemset.t list -> Fnv.t
+(** [run t key] executes [key] on the session and returns the response
+    (never {!Olar_serve.Pool.R_error}: failures raise). The key's
+    outcome fields are ignored and overwritten in the emitted record.
+    Raises [Failure] when the key is structurally incomplete (see
+    {!Record.to_request}) and re-raises whatever the query raises; in
+    both cases nothing is emitted and the sequence number does not
+    advance. An [Append] key mutates the session like
+    {!Olar_serve.Session.append}. *)
+val run : t -> Record.t -> Olar_serve.Pool.response

@@ -1,7 +1,4 @@
-open Olar_data
-module Session = Olar_serve.Session
 module Pool = Olar_serve.Pool
-module Boundary = Olar_core.Boundary
 module Engine = Olar_core.Engine
 module Obs = Olar_obs.Obs
 module Counter = Olar_util.Timer.Counter
@@ -37,214 +34,66 @@ let zero_report =
     replayed_heap_pops = 0;
   }
 
+(* Splitting on '\n' leaves a final non-empty piece exactly when the
+   last line has no terminator: the capture writer was killed between
+   the line and its newline. That one piece may be dropped; any other
+   malformed line fails the load. *)
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop lineno acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> loop (lineno + 1) acc
-        | line -> (
-          match Record.of_json_line line with
-          | Ok r -> loop (lineno + 1) (r :: acc)
-          | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
-      in
-      loop 1 [])
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let rec loop lineno acc = function
+    | [] -> Ok (List.rev acc, None)
+    | "" :: rest -> loop (lineno + 1) acc rest
+    | line :: rest -> (
+      match Record.of_json_line line with
+      | Ok r -> loop (lineno + 1) (r :: acc) rest
+      | Error _ when rest = [] ->
+        Ok
+          ( List.rev acc,
+            Some (Printf.sprintf "%s:%d: torn final line ignored" path lineno) )
+      | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
+  in
+  loop 1 [] (String.split_on_char '\n' text)
 
-let constraints_of_record (r : Record.t) =
+let request_of_record = Record.to_request
+
+let tally t (r : Record.t) ~ok ~error ~replayed_s ~vertices ~heap_pops =
   {
-    Boundary.antecedent_includes = r.antecedent_includes;
-    consequent_includes = r.consequent_includes;
-    allow_empty_antecedent = r.allow_empty_antecedent;
+    total = t.total + 1;
+    mismatches = (t.mismatches + if ok then 0 else 1);
+    errors = (t.errors + if error then 1 else 0);
+    recorded_s = t.recorded_s +. r.latency_s;
+    replayed_s = t.replayed_s +. replayed_s;
+    recorded_vertices = t.recorded_vertices + r.vertices;
+    replayed_vertices = t.replayed_vertices + vertices;
+    recorded_heap_pops = t.recorded_heap_pops + r.heap_pops;
+    replayed_heap_pops = t.replayed_heap_pops + heap_pops;
   }
 
-(* Rebuild the exact call a record describes and issue it through
-   [recorder]. Raises [Failure] on a structurally incomplete record
-   (e.g. a find without minsup) — the caller turns that into a failed
-   outcome rather than aborting the whole replay. *)
-let dispatch recorder (r : Record.t) =
-  let minsup () =
-    match r.minsup with
-    | Some s -> s
-    | None -> failwith "record is missing minsup"
-  in
-  let minconf () =
-    match r.minconf with
-    | Some c -> c
-    | None -> failwith "record is missing minconf"
-  in
-  let k () =
-    match r.k with Some k -> k | None -> failwith "record is missing k"
-  in
-  let constraints = constraints_of_record r in
-  match r.kind with
-  | Record.Find_itemsets ->
-    ignore
-      (Recorder.itemset_ids ~containing:r.containing recorder
-         ~minsup:(minsup ()))
-  | Record.Count_itemsets ->
-    ignore
-      (Recorder.count_itemsets ~containing:r.containing recorder
-         ~minsup:(minsup ()))
-  | Record.Essential_rules ->
-    ignore
-      (Recorder.essential_rules ~containing:r.containing ~constraints recorder
-         ~minsup:(minsup ()) ~minconf:(minconf ()))
-  | Record.All_rules ->
-    ignore
-      (Recorder.all_rules ~containing:r.containing ~constraints recorder
-         ~minsup:(minsup ()) ~minconf:(minconf ()))
-  | Record.Single_consequent_rules ->
-    ignore
-      (Recorder.single_consequent_rules ~containing:r.containing recorder
-         ~minsup:(minsup ()) ~minconf:(minconf ()))
-  | Record.Support_for_k_itemsets ->
-    ignore
-      (Recorder.support_for_k_itemsets recorder ~containing:r.containing
-         ~k:(k ()))
-  | Record.Support_for_k_rules ->
-    ignore
-      (Recorder.support_for_k_rules recorder ~involving:r.containing
-         ~minconf:(minconf ()) ~k:(k ()))
-  | Record.Boundary ->
-    ignore
-      (Recorder.boundary ~constraints recorder ~target:r.containing
-         ~minconf:(minconf ()))
-  | Record.Append ->
-    if r.delta_num_items <= 0 then failwith "append record is missing num_items";
-    let delta = Database.of_lists ~num_items:r.delta_num_items r.delta in
-    ignore (Recorder.append recorder delta)
-
-(* ------------------------------------------------------------------ *)
-(* Pool replay: the record key as a by-value request                  *)
-(* ------------------------------------------------------------------ *)
-
-let request_of_record (r : Record.t) =
-  let minsup () =
-    match r.minsup with
-    | Some s -> Ok s
-    | None -> Error "record is missing minsup"
-  in
-  let minconf () =
-    match r.minconf with
-    | Some c -> Ok c
-    | None -> Error "record is missing minconf"
-  in
-  let k () =
-    match r.k with Some k -> Ok k | None -> Error "record is missing k"
-  in
-  let ( let* ) = Result.bind in
-  match r.kind with
-  | Record.Find_itemsets ->
-    let* minsup = minsup () in
-    Ok (Pool.Find_itemsets { containing = r.containing; minsup })
-  | Record.Count_itemsets ->
-    let* minsup = minsup () in
-    Ok (Pool.Count_itemsets { containing = r.containing; minsup })
-  | Record.Essential_rules ->
-    let* minsup = minsup () in
-    let* minconf = minconf () in
-    Ok
-      (Pool.Essential_rules
-         {
-           containing = r.containing;
-           constraints = constraints_of_record r;
-           minsup;
-           minconf;
-         })
-  | Record.All_rules ->
-    let* minsup = minsup () in
-    let* minconf = minconf () in
-    Ok
-      (Pool.All_rules
-         {
-           containing = r.containing;
-           constraints = constraints_of_record r;
-           minsup;
-           minconf;
-         })
-  | Record.Single_consequent_rules ->
-    let* minsup = minsup () in
-    let* minconf = minconf () in
-    Ok
-      (Pool.Single_consequent_rules
-         { containing = r.containing; minsup; minconf })
-  | Record.Support_for_k_itemsets ->
-    let* k = k () in
-    Ok (Pool.Support_for_k_itemsets { containing = r.containing; k })
-  | Record.Support_for_k_rules ->
-    let* minconf = minconf () in
-    let* k = k () in
-    Ok (Pool.Support_for_k_rules { involving = r.containing; minconf; k })
-  | Record.Boundary ->
-    let* minconf = minconf () in
-    Ok
-      (Pool.Boundary
-         {
-           target = r.containing;
-           constraints = constraints_of_record r;
-           minconf;
-         })
-  | Record.Append ->
-    if r.delta_num_items <= 0 then Error "append record is missing num_items"
-    else Ok (Pool.Append (Database.of_lists ~num_items:r.delta_num_items r.delta))
-
-let digest_response = function
-  | Pool.R_items entries -> Some (Recorder.digest_items entries)
-  | Pool.R_count c -> Some (Fnv.int Fnv.empty c)
-  | Pool.R_rules rules -> Some (Recorder.digest_rules rules)
-  | Pool.R_level level -> Some (Recorder.digest_level level)
-  | Pool.R_entries entries -> Some (Recorder.digest_entries entries)
-  | Pool.R_promoted { promoted; db_size } ->
-    Some (Recorder.digest_promoted ~db_size promoted)
-  | Pool.R_error _ -> None
+let digest_ok (r : Record.t) = function
+  | Some d -> Int64.equal d r.digest
+  | None -> false
 
 let run ?(on_outcome = fun _ -> ()) session records =
   let captured = ref None in
-  let recorder =
-    Recorder.create ~emit:(fun r -> captured := Some r) session
-  in
-  let report = ref zero_report in
-  List.iter
-    (fun (r : Record.t) ->
+  let recorder = Recorder.create ~emit:(fun r -> captured := Some r) session in
+  List.fold_left
+    (fun report (r : Record.t) ->
       captured := None;
-      let error = ref false in
-      (try dispatch recorder r with _ -> error := true);
+      let error =
+        match Recorder.run recorder r with _ -> false | exception _ -> true
+      in
       let replayed = !captured in
       let ok =
-        (not !error)
-        &&
-        match replayed with
-        | Some (p : Record.t) -> Int64.equal p.Record.digest r.Record.digest
-        | None -> false
+        digest_ok r (Option.map (fun (p : Record.t) -> p.digest) replayed)
       in
-      let t = !report in
-      report :=
-        {
-          total = t.total + 1;
-          mismatches = (t.mismatches + if ok then 0 else 1);
-          errors = (t.errors + if !error then 1 else 0);
-          recorded_s = t.recorded_s +. r.Record.latency_s;
-          replayed_s =
-            (t.replayed_s
-            +.
-            match replayed with
-            | Some p -> p.Record.latency_s
-            | None -> 0.0);
-          recorded_vertices = t.recorded_vertices + r.Record.vertices;
-          replayed_vertices =
-            (t.replayed_vertices
-            + match replayed with Some p -> p.Record.vertices | None -> 0);
-          recorded_heap_pops = t.recorded_heap_pops + r.Record.heap_pops;
-          replayed_heap_pops =
-            (t.replayed_heap_pops
-            + match replayed with Some p -> p.Record.heap_pops | None -> 0);
-        };
-      on_outcome { record = r; replayed; ok })
-    records;
-  !report
+      let replayed_s, vertices, heap_pops =
+        match replayed with
+        | Some p -> (p.latency_s, p.vertices, p.heap_pops)
+        | None -> (0.0, 0, 0)
+      in
+      on_outcome { record = r; replayed; ok };
+      tally report r ~ok ~error ~replayed_s ~vertices ~heap_pops)
+    zero_report records
 
 let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
   (* Convert every record up front; a structurally incomplete record is
@@ -255,7 +104,7 @@ let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
      digests are only meaningful if every query replays on the same
      database state it was recorded against, so the replay re-imposes
      the capture's sequential epochs at append boundaries. *)
-  let converted = List.map (fun r -> (r, request_of_record r)) records in
+  let converted = List.map (fun r -> (r, Record.to_request r)) records in
   let reqs =
     Array.of_list (List.filter_map (fun (_, q) -> Result.to_option q) converted)
   in
@@ -268,43 +117,29 @@ let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
   let v0 = value v_cell and h0 = value h_cell in
   let out = Pool.run_timed pool reqs in
   let idx = ref 0 in
-  let report = ref zero_report in
-  List.iter
-    (fun ((r : Record.t), q) ->
-      let resp, latency =
-        match q with
-        | Error e -> (Pool.R_error e, 0.0)
-        | Ok _ ->
-          let x = out.(!idx) in
-          incr idx;
-          x
-      in
-      let digest = digest_response resp in
-      let error = Option.is_none digest in
-      let ok =
-        match digest with
-        | Some d -> Int64.equal d r.Record.digest
-        | None -> false
-      in
-      let t = !report in
-      report :=
-        {
-          t with
-          total = t.total + 1;
-          mismatches = (t.mismatches + if ok then 0 else 1);
-          errors = (t.errors + if error then 1 else 0);
-          recorded_s = t.recorded_s +. r.Record.latency_s;
-          replayed_s = t.replayed_s +. latency;
-          recorded_vertices = t.recorded_vertices + r.Record.vertices;
-          recorded_heap_pops = t.recorded_heap_pops + r.Record.heap_pops;
-        };
-      on_response r resp ~ok)
-    converted;
+  let report =
+    List.fold_left
+      (fun report ((r : Record.t), q) ->
+        let resp, latency =
+          match q with
+          | Error e -> (Pool.R_error e, 0.0)
+          | Ok _ ->
+            let x = out.(!idx) in
+            incr idx;
+            x
+        in
+        let digest = Record.digest_response resp in
+        let ok = digest_ok r digest in
+        on_response r resp ~ok;
+        tally report r ~ok ~error:(Option.is_none digest) ~replayed_s:latency
+          ~vertices:0 ~heap_pops:0)
+      zero_report converted
+  in
   (* Per-query work attribution is impossible across domains (the obs
      cells are shared), so the replayed side reports the aggregate
      counter delta for the whole batch instead. *)
   {
-    !report with
+    report with
     replayed_vertices = value v_cell - v0;
     replayed_heap_pops = value h_cell - h0;
   }

@@ -1,12 +1,13 @@
 (** Deterministic re-execution of a captured workload log.
 
-    [run] replays each {!Record.t} against a session — rebuilding the
-    exact call from the record's query key — through a fresh
-    {!Recorder}, and compares the replayed digest against the recorded
-    one. The digest invariant leans on the canonical result orders
-    pinned in the core kernels, so on the same lattice a mismatch is a
-    correctness regression, not noise: nondeterminism would have to be
-    introduced deliberately to break it.
+    [run] replays each {!Record.t} against a session through one
+    {!Recorder}: {!Recorder.run} rebuilds the request from the record's
+    key, executes it and emits the replayed record, whose digest is
+    compared against the recorded one. The digest invariant leans on
+    the canonical result orders pinned in the core kernels, so on the
+    same lattice a mismatch is a correctness regression, not noise:
+    nondeterminism would have to be introduced deliberately to break
+    it.
 
     Appends are replayed too (the record carries the delta
     transactions), so a log that interleaves queries and maintenance
@@ -34,13 +35,20 @@ type report = {
   replayed_heap_pops : int;
 }
 
-(** [load path] reads a jsonl log. The first malformed line is an
-    [Error] naming its line number. *)
-val load : string -> (Record.t list, string) result
+(** [load path] reads a jsonl log. A final line without a trailing
+    newline that does not parse is a capture torn mid-write (the writer
+    died between the line and its newline): the records before it load,
+    and the second component names the dropped line as
+    ["PATH:N: torn final line ignored"]. Any other malformed line is an
+    [Error] naming its line number. Raises [Sys_error] when the file
+    cannot be read. *)
+val load : string -> (Record.t list * string option, string) result
 
 (** [run session records] replays the log in order. [on_outcome] fires
-    after every record (for progress or EXPLAIN output). The session is
-    mutated by replayed appends, exactly as during capture. *)
+    after every record (for progress or EXPLAIN output). A record that
+    raises — a query error or a structurally incomplete key — is an
+    error outcome and the replay goes on. The session is mutated by
+    replayed appends, exactly as during capture. *)
 val run :
   ?on_outcome:(outcome -> unit) ->
   Olar_serve.Session.t ->
@@ -49,16 +57,12 @@ val run :
 
 (** {1 Pool replay} *)
 
-(** [request_of_record r] is the {!Olar_serve.Pool} request for [r]'s
-    query key, or [Error] when the record is structurally incomplete
-    (e.g. a find without minsup). *)
+(** [request_of_record] is {!Record.to_request}: the
+    {!Olar_serve.Pool} request for a record's query key, or [Error] when
+    the record is structurally incomplete (e.g. a find without
+    minsup). *)
 val request_of_record :
   Record.t -> (Olar_serve.Pool.request, string) result
-
-(** [digest_response resp] hashes a by-value pool response with exactly
-    the {!Recorder} digest semantics for its kind; [None] for
-    {!Olar_serve.Pool.R_error} (an error has no digestible result). *)
-val digest_response : Olar_serve.Pool.response -> Fnv.t option
 
 (** [run_pool pool records] streams the log through a serving pool via
     {!Olar_serve.Pool.submit} — the server's continuous path —

@@ -314,21 +314,50 @@ let wake_all t =
   Array.iter (fun sh -> if Atomic.get sh.parked then unpark sh) t.shards
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot publication                                               *)
+(* Request execution and snapshot publication                         *)
 (* ------------------------------------------------------------------ *)
+
+let materialize lat ids =
+  Array.map (fun v -> (Lattice.itemset lat v, Lattice.support lat v)) ids
+
+(* The serial executor: one request on one session, by value. Raises
+   whatever the session raises; [execute] turns that into [R_error]. *)
+let exec session = function
+  | Find_itemsets { containing; minsup } ->
+    let ids = Session.itemset_ids ~containing session ~minsup in
+    R_items (materialize (Engine.lattice (Session.engine session)) ids)
+  | Count_itemsets { containing; minsup } ->
+    R_count (Session.count_itemsets ~containing session ~minsup)
+  | Essential_rules { containing; constraints; minsup; minconf } ->
+    R_rules
+      (Session.essential_rules ~containing ~constraints session ~minsup ~minconf)
+  | All_rules { containing; constraints; minsup; minconf } ->
+    R_rules (Session.all_rules ~containing ~constraints session ~minsup ~minconf)
+  | Single_consequent_rules { containing; minsup; minconf } ->
+    R_rules
+      (Session.single_consequent_rules ~containing session ~minsup ~minconf)
+  | Support_for_k_itemsets { containing; k } ->
+    R_level (Session.support_for_k_itemsets session ~containing ~k)
+  | Support_for_k_rules { involving; minconf; k } ->
+    R_level (Session.support_for_k_rules session ~involving ~minconf ~k)
+  | Boundary { target; constraints; minconf } ->
+    R_entries (Session.boundary ~constraints session ~target ~minconf)
+  | Append delta ->
+    let promoted = Session.append session delta in
+    R_promoted { promoted; db_size = Engine.db_size (Session.engine session) }
 
 (* The append path, and the one place the published pointer moves; it
    runs on slot 0 under the intake lock. No quiesce: readers in flight
    keep traversing the old snapshot (immutable, still referenced from
    [retired]) while this builds and swaps in the new one. The fold
-   itself is the serial [Session.append] through slot 0's session — the
-   single mutation path, so pool appends and serial appends are the
-   same code. Publication order matters: the pointer swap precedes any
+   itself is [exec] of the [Append] on slot 0's session — the serial
+   [Session.append], the single mutation path, so pool appends and
+   serial appends are the same code. Publication order matters: the pointer swap precedes any
    subsequent cell stamp, so every request submitted after this append
    is claimed after the swap and adopts gen >= [snap.gen] (see
    [maybe_adopt]). *)
-let publish_append t delta =
-  let promoted = Session.append t.sessions.(0) delta in
+let publish_append t req =
+  let resp = exec t.sessions.(0) req in
   let engine = Session.engine t.sessions.(0) in
   let old = Atomic.get t.published in
   let snap =
@@ -344,14 +373,7 @@ let publish_append t delta =
   reclaim t;
   (* parked workers have no next claim to adopt at — wake them all *)
   wake_all t;
-  R_promoted { promoted; db_size = Engine.db_size engine }
-
-(* ------------------------------------------------------------------ *)
-(* Request execution (any domain, on that slot's private session)     *)
-(* ------------------------------------------------------------------ *)
-
-let materialize lat ids =
-  Array.map (fun v -> (Lattice.itemset lat v, Lattice.support lat v)) ids
+  resp
 
 (* Every exception becomes [R_error]: a bad threshold in one request
    must not poison the rest of the stream, and the serial comparison
@@ -359,31 +381,10 @@ let materialize lat ids =
    [Append] only ever reaches slot 0 under the intake lock — appends
    never enter a ring. *)
 let execute t idx req =
-  let session = t.sessions.(idx) in
   try
     match req with
-    | Find_itemsets { containing; minsup } ->
-      let ids = Session.itemset_ids ~containing session ~minsup in
-      R_items (materialize (Engine.lattice (Session.engine session)) ids)
-    | Count_itemsets { containing; minsup } ->
-      R_count (Session.count_itemsets ~containing session ~minsup)
-    | Essential_rules { containing; constraints; minsup; minconf } ->
-      R_rules
-        (Session.essential_rules ~containing ~constraints session ~minsup
-           ~minconf)
-    | All_rules { containing; constraints; minsup; minconf } ->
-      R_rules
-        (Session.all_rules ~containing ~constraints session ~minsup ~minconf)
-    | Single_consequent_rules { containing; minsup; minconf } ->
-      R_rules
-        (Session.single_consequent_rules ~containing session ~minsup ~minconf)
-    | Support_for_k_itemsets { containing; k } ->
-      R_level (Session.support_for_k_itemsets session ~containing ~k)
-    | Support_for_k_rules { involving; minconf; k } ->
-      R_level (Session.support_for_k_rules session ~involving ~minconf ~k)
-    | Boundary { target; constraints; minconf } ->
-      R_entries (Session.boundary ~constraints session ~target ~minconf)
-    | Append delta -> publish_append t delta
+    | Append _ -> publish_append t req
+    | _ -> exec t.sessions.(idx) req
   with e -> R_error (Printexc.to_string e)
 
 let record_deliver_exn t e =

@@ -81,9 +81,13 @@ open Olar_data
 
 type t
 
-(** One query, by value — the pool-side mirror of the
-    {!Olar_replay.Record} key. [Append] folds a delta into the store
-    and publishes a new snapshot generation. *)
+(** One query, by value. With {!response} this is the request
+    vocabulary of the serving stack: a {!Olar_replay.Record} key
+    converts to a request ({!Olar_replay.Replay.request_of_record}),
+    {!exec} turns a request into a response, and the replay layer
+    digests the response ({!Olar_replay.Record.digest_response}).
+    [Append] folds a delta into the store (in a pool: and publishes a
+    new snapshot generation). *)
 type request =
   | Find_itemsets of { containing : Itemset.t; minsup : float }
   | Count_itemsets of { containing : Itemset.t; minsup : float }
@@ -118,7 +122,7 @@ type request =
     later append swaps the lattice. [R_items] is in canonical order
     (support descending, id ascending); [R_promoted] carries the
     promotion frontier and the post-append database size — exactly the
-    inputs to the {!Olar_replay.Recorder} digest for each kind. *)
+    inputs to the replay digest for each kind. *)
 type response =
   | R_items of (Itemset.t * int) array
   | R_count of int
@@ -127,6 +131,17 @@ type response =
   | R_entries of (Itemset.t * float) list
   | R_promoted of { promoted : Itemset.t list; db_size : int }
   | R_error of string
+
+(** [exec session req] executes [req] serially on [session] — the one
+    map from request kinds to {!Session} calls. Find answers are
+    materialized from the session's vertex ids into (itemset, support
+    count) pairs; an [Append] folds through {!Session.append} and
+    answers the promotion frontier with the post-append database size.
+    Raises whatever the session raises (e.g.
+    {!Olar_core.Query.Below_primary_threshold}). The pool runs every
+    request through it, wrapped so an exception becomes {!R_error};
+    {!Olar_replay.Recorder.run} and the CLI run it bare. *)
+val exec : Session.t -> request -> response
 
 (** What a delivery callback learns about the execution it is being
     handed: [latency_s] is the execution seconds (claim-to-completion,

@@ -47,10 +47,7 @@ let load ?vocab path =
       parse ?vocab (List.rev !lines))
 
 let save vocab taxonomy path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Olar_util.Atomic_file.write path (fun oc ->
       for i = 0 to Taxonomy.num_items taxonomy - 1 do
         match Taxonomy.parent taxonomy i with
         | None -> ()

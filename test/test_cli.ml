@@ -251,6 +251,59 @@ let test_domains_flag cli =
       Alcotest.(check bool) "trace file has spans" true (!n > 0);
       Alcotest.(check bool) "every span is domain-tagged" true !tagged)
 
+(* A capture log committed as a fixture pins the digest contract across
+   refactors of the capture and replay code: it must replay with zero
+   mismatches, serially and through a pool, on a lattice regenerated
+   here deterministically. It was recorded against that lattice with
+   --record by the items/count/rules/support-for commands (text output,
+   cache budgets 0 and 8 MiB, with and without --containing, --all,
+   --single-consequent and --antecedent/--consequent constraints). *)
+let test_committed_capture_replays cli =
+  in_temp_dir (fun dir ->
+      let db = Filename.concat dir "data.db" in
+      let lattice = Filename.concat dir "data.lattice" in
+      let log =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          "fixtures/capture_v1.jsonl"
+      in
+      check_ok "gen"
+        (run_cli cli
+           [ "gen"; "--name"; "T8.I4.D400"; "--items"; "30"; "--seed"; "5"; "-o"; db ]);
+      check_ok "preprocess"
+        (run_cli cli [ "preprocess"; "-d"; db; "--support"; "0.05"; "-o"; lattice ]);
+      List.iter
+        (fun extra ->
+          let code, lines = run_cli cli ([ "replay"; "-l"; lattice; log ] @ extra) in
+          check_ok "replay" (code, lines);
+          Alcotest.(check bool)
+            ("all 13 replay clean " ^ String.concat " " extra)
+            true
+            (contains lines "13 ok, 0 mismatches (0 errors)"))
+        [ []; [ "--domains"; "2" ] ])
+
+(* At --cache-mb 0 a find runs on the session's engine passthrough; it
+   must still open its "itemsets" query span, like every other kind. *)
+let test_items_trace_span cli =
+  in_temp_dir (fun dir ->
+      let db = Filename.concat dir "data.db" in
+      let lattice = Filename.concat dir "data.lattice" in
+      let trace = Filename.concat dir "trace.jsonl" in
+      check_ok "gen"
+        (run_cli cli
+           [ "gen"; "--name"; "T5.I2.D200"; "--items"; "50"; "--seed"; "2"; "-o"; db ]);
+      check_ok "preprocess"
+        (run_cli cli [ "preprocess"; "-d"; db; "--support"; "0.05"; "-o"; lattice ]);
+      check_ok "traced items"
+        (run_cli cli
+           [
+             "items"; "-l"; lattice; "--minsup"; "0.05"; "--cache-mb"; "0";
+             "--trace"; trace;
+           ]);
+      let spans = In_channel.with_open_bin trace In_channel.input_all in
+      Alcotest.(check bool)
+        "query.itemsets span emitted" true
+        (Helpers.contains_substring spans {|"name":"query.itemsets"|}))
+
 let suites =
   [
     ( "cli",
@@ -259,5 +312,9 @@ let suites =
         Alcotest.test_case "error paths" `Quick (with_cli test_error_paths);
         Alcotest.test_case "--domains validation and pool replay" `Quick
           (with_cli test_domains_flag);
+        Alcotest.test_case "committed capture replays clean" `Quick
+          (with_cli test_committed_capture_replays);
+        Alcotest.test_case "items --cache-mb 0 opens its query span" `Quick
+          (with_cli test_items_trace_span);
       ] );
   ]

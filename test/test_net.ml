@@ -888,7 +888,7 @@ let serial_digests appends =
           let i =
             if g = 0 then k else per_gen + ((g - 1) * (per_gen + 1)) + 1 + k
           in
-          match Replay.digest_response out.(i) with
+          match Record.digest_response out.(i) with
           | Some d -> Fnv.to_hex d
           | None -> Alcotest.fail "serial read failed"))
 

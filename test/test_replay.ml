@@ -168,14 +168,25 @@ let recording_session ?(budget_bytes = 1 lsl 20) () =
 (* db_size 1000 in the Table 2 fixture *)
 let f c = float_of_int c /. 1000.0
 
+(* Query keys, as the CLI and replay build them *)
+let find ?containing minsup = Record.key ?containing ~minsup Record.Find_itemsets
+let count ?containing minsup = Record.key ?containing ~minsup Record.Count_itemsets
+
+let essential ?containing minsup minconf =
+  Record.key ?containing ~minsup ~minconf Record.Essential_rules
+
+let top_k containing k = Record.key ~containing ~k Record.Support_for_k_itemsets
+let boundary target minconf = Record.key ~containing:target ~minconf Record.Boundary
+let run recorder key = ignore (Recorder.run recorder key)
+
 let test_recorder_accounting () =
   let session = recording_session () in
   let out = ref [] in
   let recorder = Recorder.create ~emit:(fun r -> out := r :: !out) session in
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 3));
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 10));
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 3));
-  ignore (Recorder.boundary recorder ~target:(set [ 1 ]) ~minconf:0.5);
+  run recorder (find (f 3));
+  run recorder (find (f 10));
+  run recorder (count (f 3));
+  run recorder (boundary (set [ 1 ]) 0.5);
   match List.rev !out with
   | [ a; b; c; d ] ->
     check Alcotest.int "seq 0" 0 a.Record.seq;
@@ -204,7 +215,7 @@ let test_recorder_slow_filter () =
       ~emit:(fun r -> out := r :: !out)
       session
   in
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 3));
+  run recorder (count (f 3));
   check Alcotest.int "fast query filtered" 0 (List.length !out);
   check Alcotest.int "but still numbered" 1 (Recorder.count recorder);
   (* make the next query appear slow to the recorder's clock *)
@@ -222,7 +233,7 @@ let test_recorder_slow_filter () =
       ~emit:(fun r -> slow_out := r :: !slow_out)
       slow_session
   in
-  ignore (Recorder.count_itemsets ticking ~minsup:(f 3));
+  run ticking (count (f 3));
   (match !slow_out with
   | [ r ] ->
     check Alcotest.int "slow query emitted with its seq" 0 r.Record.seq;
@@ -233,10 +244,12 @@ let test_recorder_slow_filter () =
   let raising = recording_session () in
   let r_out = ref [] in
   let rec_r = Recorder.create ~emit:(fun r -> r_out := r :: !r_out) raising in
-  (try
-     ignore
-       (Recorder.itemset_ids rec_r ~minsup:(0.5 /. 1000.0) (* below primary *))
+  (try run rec_r (find (0.5 /. 1000.0)) (* below primary *)
    with Query.Below_primary_threshold _ -> ());
+  (* so does a structurally incomplete key, raising Failure *)
+  (match Recorder.run rec_r (Record.key Record.Find_itemsets) with
+  | _ -> Alcotest.fail "a find key without minsup ran"
+  | exception Failure _ -> ());
   check Alcotest.int "nothing emitted" 0 (List.length !r_out);
   check Alcotest.int "seq not consumed" 0 (Recorder.count rec_r)
 
@@ -260,7 +273,7 @@ let test_recorder_backwards_clock () =
   let recorder =
     Recorder.create ~clock ~emit:(fun r -> out := r :: !out) session
   in
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 3));
+  run recorder (count (f 3));
   match !out with
   | [ r ] ->
     check (Alcotest.float 0.0) "latency clamped to zero, not -6s" 0.0
@@ -276,10 +289,10 @@ let digest_of_db db ~session_of (minsup_count, containing, minconf) =
   let recorder = Recorder.create ~emit:(fun r -> out := r :: !out) session in
   let minsup_count = min minsup_count (Database.size db) in
   let minsup = float_of_int minsup_count /. float_of_int (Database.size db) in
-  ignore (Recorder.itemset_ids ~containing recorder ~minsup);
-  ignore (Recorder.essential_rules ~containing recorder ~minsup ~minconf);
-  ignore (Recorder.count_itemsets ~containing recorder ~minsup);
-  ignore (Recorder.support_for_k_itemsets recorder ~containing ~k:3);
+  run recorder (find ~containing minsup);
+  run recorder (essential ~containing minsup minconf);
+  run recorder (count ~containing minsup);
+  run recorder (top_k containing 3);
   List.rev_map (fun r -> r.Record.digest) !out
 
 let digest_scenario_gen =
@@ -316,16 +329,17 @@ let digest_stability_prop =
 let capture_workload session =
   let out = ref [] in
   let recorder = Recorder.create ~emit:(fun r -> out := r :: !out) session in
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 3));
-  ignore (Recorder.essential_rules recorder ~minsup:(f 3) ~minconf:0.5);
-  ignore (Recorder.boundary recorder ~target:(set [ 1 ]) ~minconf:0.5);
+  run recorder (find (f 3));
+  run recorder (essential (f 3) 0.5);
+  run recorder (boundary (set [ 1 ]) 0.5);
   (* mid-stream maintenance bumps supports for later queries *)
-  ignore
-    (Recorder.append recorder
-       (Database.of_lists ~num_items:6 [ [ 1; 2 ]; [ 1; 2; 3 ] ]));
-  ignore (Recorder.itemset_ids recorder ~minsup:(f 3));
-  ignore (Recorder.count_itemsets recorder ~minsup:(f 10));
-  ignore (Recorder.support_for_k_itemsets recorder ~containing:Itemset.empty ~k:4);
+  run recorder
+    (Record.key
+       ~delta:(Database.of_lists ~num_items:6 [ [ 1; 2 ]; [ 1; 2; 3 ] ])
+       Record.Append);
+  run recorder (find (f 3));
+  run recorder (count (f 10));
+  run recorder (top_k Itemset.empty 4);
   List.rev !out
 
 let test_replay_roundtrip () =
@@ -356,10 +370,50 @@ let test_replay_roundtrip () =
       close_out oc;
       match Replay.load path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok loaded ->
+      | Ok (_, Some torn) -> Alcotest.failf "clean log read as torn: %s" torn
+      | Ok (loaded, None) ->
         let report = Replay.run (recording_session ()) loaded in
         check Alcotest.int "loaded log replays clean" 0
           report.Replay.mismatches)
+
+(* A daemon killed between a capture line and its newline leaves an
+   unterminated, unparsable final line: the prefix still replays, and
+   the torn line is reported, not fatal. Every other malformed line —
+   including a malformed last line that does end in a newline — still
+   fails the load, naming its line. *)
+let test_load_torn_tail () =
+  let records = capture_workload (recording_session ()) in
+  let lines = List.map Record.to_json_line records in
+  let torn = String.sub (List.nth lines 6) 0 25 in
+  let load_text text =
+    let path = Filename.temp_file "olar_test_torn" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        Replay.load path)
+  in
+  let prefix = String.concat "\n" (List.filteri (fun i _ -> i < 6) lines) ^ "\n" in
+  (match load_text (prefix ^ torn) with
+  | Ok (rs, Some note) ->
+    check Alcotest.bool "torn line reported" true
+      (String.ends_with ~suffix:":7: torn final line ignored" note);
+    check Alcotest.int "prefix loaded" 6 (List.length rs);
+    let report = Replay.run (recording_session ()) rs in
+    check Alcotest.int "prefix replays" 6 report.Replay.total;
+    check Alcotest.int "with zero mismatches" 0 report.Replay.mismatches
+  | Ok (_, None) -> Alcotest.fail "torn tail not reported"
+  | Error e -> Alcotest.failf "torn tail rejected the log: %s" e);
+  let fails what text line =
+    match load_text text with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+      check Alcotest.bool (what ^ " names its line") true
+        (Helpers.contains_substring e (Printf.sprintf ".jsonl:%d: " line))
+  in
+  fails "malformed last line ending in a newline" (prefix ^ torn ^ "\n") 7;
+  fails "malformed middle line" (prefix ^ torn ^ "\n" ^ List.nth lines 6) 7;
+  fails "malformed first line" (torn ^ "\n" ^ prefix) 1
 
 let test_replay_detects_tampering () =
   let records = capture_workload (recording_session ()) in
@@ -431,6 +485,7 @@ let suites =
       [
         case "capture/replay round trip" test_replay_roundtrip;
         case "tamper detection" test_replay_detects_tampering;
+        case "torn final line" test_load_torn_tail;
         case "pool replay round trip" test_replay_pool_roundtrip;
       ] );
     Helpers.qsuite "replay.digest" [ digest_stability_prop ];

@@ -254,7 +254,7 @@ let session_tiny_budget_prop =
 (* Pool differential: 4-domain pool vs serial session, digest-exact   *)
 
 module Pool = Olar_serve.Pool
-module Replay = Olar_replay.Replay
+module Record = Olar_replay.Record
 module Fnv = Olar_replay.Fnv
 
 let req_print : Pool.request -> string = function
@@ -372,9 +372,11 @@ let pool_scenario_print (db, threshold, reqs) =
     (String.concat "; "
        (List.filteri (fun i _ -> i < 10) reqs |> List.map req_print))
 
-(* Mirror of the pool's per-request execution against a plain serial
-   session — same materialization, same exception-to-R_error rule — so
-   both sides digest through the replay layer's semantics. *)
+(* The serial reference: the pool's per-request execution against a
+   plain serial session — same materialization, same exception-to-R_error
+   rule — so both sides digest through the replay layer's semantics.
+   Deliberately an independent copy of [Pool.exec], not a call to it:
+   the differentials compare [Pool.exec] against this. *)
 let serial_execute session (req : Pool.request) : Pool.response =
   let materialize lat ids =
     Array.map (fun v -> (Lattice.itemset lat v, Lattice.support lat v)) ids
@@ -411,12 +413,96 @@ let serial_execute session (req : Pool.request) : Pool.response =
 (* Errors carry no structured result; fold the message so an error
    response still has a comparable digest. *)
 let digest_of_response (resp : Pool.response) =
-  match Replay.digest_response resp with
+  match Record.digest_response resp with
   | Some d -> d
   | None -> (
     match resp with
     | R_error msg -> Fnv.string Fnv.empty msg
     | _ -> assert false)
+
+(* [Recorder.run] against the independent reference above, over all
+   nine kinds plus a raising key, on twin cached sessions: the record
+   each call emits must carry the reference response's digest and size,
+   the cache path the reference session took, and the next sequence
+   number; a raising key emits nothing and consumes no sequence
+   number. *)
+let test_recorder_matches_reference () =
+  let module Record = Olar_replay.Record in
+  let module Recorder = Olar_replay.Recorder in
+  let session () =
+    Session.create ~budget_bytes:(1 lsl 20)
+      (Engine.of_lattice (Helpers.table2_lattice ()))
+  in
+  let reference = session () in
+  let emitted = ref [] in
+  let recorder =
+    Recorder.create ~emit:(fun r -> emitted := r :: !emitted) (session ())
+  in
+  let f c = float_of_int c /. 1000.0 in
+  let a = set [ 1 ] in
+  let constraints =
+    { Boundary.unconstrained with Boundary.consequent_includes = set [ 2 ] }
+  in
+  let keys =
+    Record.
+      [
+        key ~minsup:(f 3) Find_itemsets;
+        key ~minsup:(f 10) Find_itemsets (* a refine of the first *);
+        key ~containing:a ~minsup:(f 4) Find_itemsets;
+        key ~minsup:(f 1) Find_itemsets (* below the primary threshold *);
+        key ~containing:a ~minsup:(f 4) Count_itemsets;
+        key ~containing:a ~constraints ~minsup:(f 3) ~minconf:0.1 Essential_rules;
+        key ~minsup:(f 3) ~minconf:0.2 All_rules;
+        key ~minsup:(f 3) ~minconf:0.2 Single_consequent_rules;
+        key ~containing:a ~k:2 Support_for_k_itemsets;
+        key ~containing:a ~minconf:0.2 ~k:2 Support_for_k_rules;
+        key ~containing:(set [ 0; 1; 2 ]) ~minconf:0.3 Boundary;
+        key
+          ~delta:(Database.of_lists ~num_items:6 [ [ 1; 2 ]; [ 1; 2; 3 ] ])
+          Append;
+        key ~containing:a ~minsup:(f 4) Find_itemsets;
+      ]
+  in
+  let path_name = function
+    | Session.Hit -> "hit"
+    | Session.Refine -> "refine"
+    | Session.Miss -> "miss"
+    | Session.Passthrough -> "pass"
+  in
+  let seq = ref 0 in
+  List.iter
+    (fun (key : Record.t) ->
+      let kind = Record.kind_to_string key.kind in
+      let req = Result.get_ok (Record.to_request key) in
+      let expected = serial_execute reference req in
+      emitted := [];
+      let raised =
+        match Recorder.run recorder key with
+        | _ -> false
+        | exception _ -> true
+      in
+      match (Record.digest_response expected, !emitted) with
+      | None, [] ->
+        check Alcotest.bool (kind ^ ": raised like the reference") true raised;
+        check Alcotest.int (kind ^ ": no seq consumed") !seq
+          (Recorder.count recorder)
+      | Some digest, [ r ] ->
+        check Alcotest.string (kind ^ ": digest") (Fnv.to_hex digest)
+          (Fnv.to_hex r.digest);
+        check Alcotest.int (kind ^ ": size") (Record.result_size expected)
+          r.result_size;
+        check Alcotest.string (kind ^ ": cache path")
+          (path_name (Session.last_path reference))
+          (Record.cache_path_to_string r.cache);
+        check Alcotest.int (kind ^ ": seq") !seq r.seq;
+        incr seq
+      | _, l ->
+        Alcotest.failf "%s: reference %s, recorder emitted %d records" kind
+          (if Option.is_some (Record.digest_response expected) then "answered"
+           else "raised")
+          (List.length l))
+    keys;
+  check Alcotest.int "every answered key numbered" 12 !seq
 
 (* The same workload — queries with barriered appends — executed
    serially and through a 4-domain pool must produce bitwise-identical
@@ -1075,6 +1161,8 @@ let suites =
           test_pool_submit_delivers_once;
         case "generations publish and retired snapshots reclaim"
           test_pool_generation_reclaim;
+        case "recorder run = serial reference, every kind"
+          test_recorder_matches_reference;
       ] );
     Helpers.qsuite "serve.pool.diff"
       [

@@ -1,4 +1,4 @@
-(* Tests for olar.util: Vec, Heap, Bitset, Rng, Dist, Timer. *)
+(* Tests for olar.util: Vec, Heap, Bitset, Rng, Dist, Timer, Atomic_file. *)
 
 module Vec = Olar_util.Vec
 module Heap = Olar_util.Heap
@@ -455,6 +455,49 @@ let test_timer_elapsed () =
   check Alcotest.int "time result" 42 y;
   check Alcotest.bool "time nonneg" true (dt >= 0.0)
 
+(* ------------------------------------------------------------------ *)
+(* Atomic_file *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "olar_atomic" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let test_atomic_file_replaces () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "target" in
+      Olar_util.Atomic_file.write path (fun oc -> output_string oc "first\n");
+      check Alcotest.string "created" "first\n" (read_file path);
+      Olar_util.Atomic_file.write path (fun oc -> output_string oc "second\n");
+      check Alcotest.string "replaced" "second\n" (read_file path);
+      check Alcotest.(list string) "no temp file left" [ "target" ]
+        (Array.to_list (Sys.readdir dir)))
+
+(* A writer that dies halfway — after writing part of the new content —
+   must leave the old file byte-identical and no temp file behind. *)
+let test_atomic_file_raising_writer () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "target" in
+      let original = "# olar adjacency lattice v2\nvertices 3\n" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc original);
+      (match
+         Olar_util.Atomic_file.write path (fun oc ->
+             output_string oc "# olar adjacency lattice v2\nvert";
+             failwith "disk on fire")
+       with
+      | () -> Alcotest.fail "the writer's exception was swallowed"
+      | exception Failure msg -> check Alcotest.string "propagates" "disk on fire" msg);
+      check Alcotest.string "old file byte-identical" original (read_file path);
+      check Alcotest.(list string) "no temp file left" [ "target" ]
+        (Array.to_list (Sys.readdir dir)))
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -519,5 +562,10 @@ let suites =
         case "counter" test_counter;
         case "elapsed" test_timer_elapsed;
         case "monotonic clock" test_timer_monotonic;
+      ] );
+    ( "util.atomic_file",
+      [
+        case "write and replace" test_atomic_file_replaces;
+        case "raising writer keeps the old file" test_atomic_file_raising_writer;
       ] );
   ]

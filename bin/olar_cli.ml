@@ -259,21 +259,10 @@ let handle_below_threshold f =
       requested primary;
     exit 2
 
-(* [Pool.exec], except that a find on a passthrough session opens the
-   "itemsets" query span (and latency histogram) that the engine opens
-   for every other kind on its own. *)
-let exec ~obs session req =
-  match (obs, req) with
-  | Some ctx, Olar_serve.Pool.Find_itemsets _
-    when not (Olar_serve.Session.enabled session) ->
-    Olar_obs.Obs.query_span ctx ~name:"itemsets" ~work:Olar_obs.Obs.Vertices
-      (fun _ -> Olar_serve.Pool.exec session req)
-  | _ -> Olar_serve.Pool.exec session req
-
 (* Run one query key (the items/rules/count/support-for commands) on a
    session sized by --cache-mb — a passthrough to the engine at 0 —
    logged through a recorder under --record/--explain. *)
-let run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine key =
+let run_query ~cache_mb ~record ~explain ~slow_ms engine key =
   let session = make_session ~cache_mb engine in
   let resp =
     handle_below_threshold (fun () ->
@@ -284,7 +273,9 @@ let run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine key =
           Fun.protect ~finally:finish_rec (fun () ->
               Olar_replay.Recorder.run recorder key)
         end
-        else exec ~obs session (or_die (Olar_replay.Record.to_request key)))
+        else
+          Olar_serve.Pool.exec session
+            (or_die (Olar_replay.Record.to_request key)))
   in
   report_cache session;
   resp
@@ -575,7 +566,7 @@ let items_cmd =
     let entries, dt =
       Olar_util.Timer.time (fun () ->
           match
-            run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine
+            run_query ~cache_mb ~record ~explain ~slow_ms engine
               (Olar_replay.Record.key ~containing ~minsup
                  Olar_replay.Record.Find_itemsets)
           with
@@ -694,7 +685,7 @@ let rules_cmd =
     in
     let rules, dt =
       Olar_util.Timer.time (fun () ->
-          match run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine key with
+          match run_query ~cache_mb ~record ~explain ~slow_ms engine key with
           | Olar_serve.Pool.R_rules rules -> rules
           | _ -> assert false)
     in
@@ -767,7 +758,7 @@ let count_cmd =
     in
     let engine = or_die (load_engine ~obs lattice_path) in
     (match
-       run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine
+       run_query ~cache_mb ~record ~explain ~slow_ms engine
          (Olar_replay.Record.key ~containing ~minsup
             Olar_replay.Record.Count_itemsets)
      with
@@ -818,7 +809,7 @@ let support_for_cmd =
       | Some c -> key ~containing ~minconf:c ~k Support_for_k_rules
     in
     let answer =
-      match run_query ~obs ~cache_mb ~record ~explain ~slow_ms engine key with
+      match run_query ~cache_mb ~record ~explain ~slow_ms engine key with
       | Olar_serve.Pool.R_level answer -> answer
       | _ -> assert false
     in
@@ -1301,7 +1292,7 @@ let metrics_cmd =
       if not (Itemset.is_empty x) then
         max_item := max !max_item (Itemset.max_item x)
     done;
-    let query req = ignore (exec ~obs session req) in
+    let query req = ignore (Olar_serve.Pool.exec session req) in
     let workload () =
       let open Olar_serve.Pool in
       let containing = Itemset.empty in

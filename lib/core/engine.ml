@@ -4,16 +4,32 @@ module Trace = Olar_obs.Trace
 
 (* The engine owns a scratch so steady-state queries reuse one set of
    marks/stack/heap instead of allocating per call, and an observability
-   context shared by every entry point. Query methods dispatch on
-   [t.obs] with a bare match: the [None] arm is the exact uninstrumented
-   code path — closures for the instrumented arm are only allocated when
-   telemetry is on. *)
+   context shared by every entry point. It is the one caller of the
+   query kernels, and every kernel call goes through [run] below, which
+   opens the kind's query span from [spans] when telemetry is on. *)
 type t = {
   lattice : Lattice.t;
   scratch : Scratch.t;
   obs : Obs.t;
+  spans : Obs.query option array; (* one slot per query kind, see [span] *)
   epoch : int;
 }
+
+(* Every query kind the engine runs under a span: its name (the span is
+   [query.<name>], the histogram [olar_query_<name>_seconds]), the work
+   counter its kernel reports through, and its slot in [t.spans]. *)
+type kind = { slot : int; name : string; work : Obs.work }
+
+let k_itemsets = { slot = 0; name = "itemsets"; work = Obs.Vertices }
+let k_count = { slot = 1; name = "count_itemsets"; work = Obs.Vertices }
+let k_essential = { slot = 2; name = "essential_rules"; work = Obs.Vertices }
+let k_all = { slot = 3; name = "all_rules"; work = Obs.Vertices }
+let k_single = { slot = 4; name = "single_consequent_rules"; work = Obs.Vertices }
+let k_redundancy = { slot = 5; name = "redundancy"; work = Obs.No_work }
+let k_boundary = { slot = 6; name = "boundary"; work = Obs.Vertices }
+let k_top_k = { slot = 7; name = "support_for_k_itemsets"; work = Obs.Heap_pops }
+let k_top_k_rules = { slot = 8; name = "support_for_k_rules"; work = Obs.Heap_pops }
+let num_kinds = 9
 
 (* Process-wide generation counter. Every [of_lattice] — and therefore
    every preprocess / append / rebuild / load — produces an engine with
@@ -42,7 +58,13 @@ let set_lattice_gauges obs lattice =
 
 let of_lattice ?(obs = Obs.disabled) lattice =
   set_lattice_gauges obs lattice;
-  { lattice; scratch = Scratch.create lattice; obs; epoch = next_epoch () }
+  {
+    lattice;
+    scratch = Scratch.create lattice;
+    obs;
+    spans = Array.make num_kinds None;
+    epoch = next_epoch ();
+  }
 
 let epoch t = t.epoch
 
@@ -50,7 +72,7 @@ let obs t = t.obs
 
 let with_obs t obs =
   set_lattice_gauges obs t.lattice;
-  { t with obs }
+  { t with obs; spans = Array.make num_kinds None }
 
 (* A per-domain view: same lattice, same obs, same epoch — only the
    scratch is private. Views of one engine are interchangeable for
@@ -191,118 +213,145 @@ let count_of_support t s =
 
 let fraction t count = float_of_int count /. float_of_int (max 1 (db_size t))
 
-let itemsets ?(containing = Itemset.empty) t ~minsup =
-  let minsup = count_of_support t minsup in
-  let run work =
-    let ids =
-      Query.find_itemsets ?work ~scratch:t.scratch t.lattice ~containing ~minsup
-    in
-    List.map (fun (x, c) -> (x, fraction t c)) (Query.to_entries t.lattice ids)
-  in
+(* ------------------------------------------------------------------ *)
+(* The one span helper                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A kind's resolved span, interned on first use so a series appears in
+   the registry only once its kind has run. Views share [t.spans] across
+   domains: two domains racing on an empty slot both resolve the same
+   registry cells, so either write is a correct one. *)
+let span t ctx kind =
+  match t.spans.(kind.slot) with
+  | Some q -> q
+  | None ->
+    let q = Obs.query ctx ~name:kind.name ~work:kind.work in
+    t.spans.(kind.slot) <- Some q;
+    q
+
+(* Run [f t a b] as one query of [kind]. Telemetry off, it is the bare
+   call: with [f] closed over nothing, nothing is allocated
+   ([count_itemsets] relies on it). Telemetry on, it runs under the
+   kind's span, which counts the query and passes [f] its work counter. *)
+let run t kind f a b =
   match t.obs with
-  | None -> run None
-  | Some ctx -> Obs.query_span ctx ~name:"itemsets" ~work:Obs.Vertices run
+  | None -> f t a b None
+  | Some ctx -> Obs.query_span (span t ctx kind) (f t a b)
+
+(* ------------------------------------------------------------------ *)
+(* Validated entry points                                             *)
+(* ------------------------------------------------------------------ *)
+
+let cut ?minconf t minsup =
+  let cut = count_of_support t minsup in
+  Option.iter (fun c -> ignore (Conf.of_float c)) minconf;
+  Query.check_minsup t.lattice cut;
+  cut
+
+let check_k = Support_query.check_k
+
+let itemset_ids t ~containing ~minsup =
+  run t k_itemsets
+    (fun t containing minsup work ->
+      Array.of_list
+        (Query.find_itemsets ?work ~scratch:t.scratch t.lattice ~containing ~minsup))
+    containing minsup
+
+let itemset_count t ~containing ~minsup =
+  run t k_count
+    (fun t containing minsup work ->
+      Query.count_itemsets ?work ~scratch:t.scratch t.lattice ~containing ~minsup)
+    containing minsup
+
+type rule_kind = Essential | All | Single
+
+let rules t kind ~containing ~constraints ~minsup ~confidence =
+  run t
+    (match kind with Essential -> k_essential | All -> k_all | Single -> k_single)
+    (fun t containing minsup work ->
+      let scratch = t.scratch in
+      match kind with
+      | Essential ->
+        Rulegen.essential_rules ?work ~scratch ~containing ~constraints t.lattice
+          ~minsup ~confidence
+      | All ->
+        Rulegen.all_rules ?work ~scratch ~containing ~constraints t.lattice
+          ~minsup ~confidence
+      | Single ->
+        Rulegen.single_consequent_rules ?work ~scratch ~containing t.lattice
+          ~minsup ~confidence)
+    containing minsup
+
+let top_k t ~containing ~k =
+  run t k_top_k
+    (fun t containing k work ->
+      Support_query.find_support ?work ~scratch:t.scratch t.lattice ~containing ~k)
+    containing k
+
+let top_k_rules t ~involving ~confidence ~k =
+  run t k_top_k_rules
+    (fun t involving k work ->
+      Support_query.find_support_for_rules ?work ~scratch:t.scratch t.lattice
+        ~involving ~confidence ~k)
+    involving k
+
+(* ------------------------------------------------------------------ *)
+(* Fractional queries (Section 1.2)                                   *)
+(* ------------------------------------------------------------------ *)
+
+let itemsets ?(containing = Itemset.empty) t ~minsup =
+  let ids = itemset_ids t ~containing ~minsup:(count_of_support t minsup) in
+  Array.fold_right
+    (fun v acc ->
+      (Lattice.itemset t.lattice v, fraction t (Lattice.support t.lattice v)) :: acc)
+    ids []
 
 let count_itemsets ?(containing = Itemset.empty) t ~minsup =
+  itemset_count t ~containing ~minsup:(count_of_support t minsup)
+
+let fractional_rules kind ?(containing = Itemset.empty)
+    ?(constraints = Boundary.unconstrained) t ~minsup ~minconf =
   let minsup = count_of_support t minsup in
-  match t.obs with
-  | None -> Query.count_itemsets ~scratch:t.scratch t.lattice ~containing ~minsup
-  | Some ctx ->
-    Obs.query_span ctx ~name:"count_itemsets" ~work:Obs.Vertices (fun work ->
-        Query.count_itemsets ?work ~scratch:t.scratch t.lattice ~containing
-          ~minsup)
+  rules t kind ~containing ~constraints ~minsup ~confidence:(Conf.of_float minconf)
 
 let essential_rules ?containing ?constraints t ~minsup ~minconf =
-  let minsup = count_of_support t minsup in
-  let confidence = Conf.of_float minconf in
-  let run work =
-    Rulegen.essential_rules ?work ~scratch:t.scratch ?containing ?constraints
-      t.lattice ~minsup ~confidence
-  in
-  match t.obs with
-  | None -> run None
-  | Some ctx -> Obs.query_span ctx ~name:"essential_rules" ~work:Obs.Vertices run
+  fractional_rules Essential ?containing ?constraints t ~minsup ~minconf
 
 let all_rules ?containing ?constraints t ~minsup ~minconf =
-  let minsup = count_of_support t minsup in
-  let confidence = Conf.of_float minconf in
-  let run work =
-    Rulegen.all_rules ?work ~scratch:t.scratch ?containing ?constraints
-      t.lattice ~minsup ~confidence
-  in
-  match t.obs with
-  | None -> run None
-  | Some ctx -> Obs.query_span ctx ~name:"all_rules" ~work:Obs.Vertices run
+  fractional_rules All ?containing ?constraints t ~minsup ~minconf
 
 let single_consequent_rules ?containing t ~minsup ~minconf =
-  let minsup = count_of_support t minsup in
-  let confidence = Conf.of_float minconf in
-  let run work =
-    Rulegen.single_consequent_rules ?work ~scratch:t.scratch ?containing
-      t.lattice ~minsup ~confidence
-  in
-  match t.obs with
-  | None -> run None
-  | Some ctx ->
-    Obs.query_span ctx ~name:"single_consequent_rules" ~work:Obs.Vertices run
+  fractional_rules Single ?containing t ~minsup ~minconf
 
 let redundancy ?containing t ~minsup ~minconf =
   let minsup = count_of_support t minsup in
   let confidence = Conf.of_float minconf in
-  let run () =
-    Rulegen.redundancy ~scratch:t.scratch ?containing t.lattice ~minsup
-      ~confidence
-  in
-  match t.obs with
-  | None -> run ()
-  | Some ctx ->
-    Obs.query_span ctx ~name:"redundancy" ~work:Obs.No_work (fun _ -> run ())
+  run t k_redundancy
+    (fun t containing minsup _ ->
+      Rulegen.redundancy ~scratch:t.scratch ?containing t.lattice ~minsup
+        ~confidence)
+    containing minsup
 
 let boundary ?constraints t ~target ~minconf =
   let confidence = Conf.of_float minconf in
-  match Lattice.find t.lattice target with
-  | None -> []
-  | Some v ->
-    let run work =
-      let ids =
-        Boundary.find_boundary ?work ~scratch:t.scratch ?constraints t.lattice
-          ~target:v ~confidence
-      in
-      List.map
-        (fun id ->
-          (Lattice.itemset t.lattice id, fraction t (Lattice.support t.lattice id)))
-        ids
-    in
-    (match t.obs with
-    | None -> run None
-    | Some ctx -> Obs.query_span ctx ~name:"boundary" ~work:Obs.Vertices run)
+  List.map
+    (fun id -> (Lattice.itemset t.lattice id, fraction t (Lattice.support t.lattice id)))
+    (run t k_boundary
+       (fun t target confidence work ->
+         match Lattice.find t.lattice target with
+         | None -> []
+         | Some v ->
+           Boundary.find_boundary ?work ~scratch:t.scratch ?constraints t.lattice
+             ~target:v ~confidence)
+       target confidence)
 
 let support_for_k_itemsets t ~containing ~k =
-  let run work =
-    let answer =
-      Support_query.find_support ?work ~scratch:t.scratch t.lattice ~containing
-        ~k
-    in
-    Option.map (fraction t) answer.Support_query.support_level
-  in
-  match t.obs with
-  | None -> run None
-  | Some ctx ->
-    Obs.query_span ctx ~name:"support_for_k_itemsets" ~work:Obs.Heap_pops run
+  Option.map (fraction t) (top_k t ~containing ~k).Support_query.support_level
 
 let support_for_k_rules t ~involving ~minconf ~k =
   let confidence = Conf.of_float minconf in
-  let run work =
-    let answer =
-      Support_query.find_support_for_rules ?work ~scratch:t.scratch t.lattice
-        ~involving ~confidence ~k
-    in
-    Option.map (fraction t) answer.Support_query.rule_support_level
-  in
-  match t.obs with
-  | None -> run None
-  | Some ctx ->
-    Obs.query_span ctx ~name:"support_for_k_rules" ~work:Obs.Heap_pops run
+  Option.map (fraction t)
+    (top_k_rules t ~involving ~confidence ~k).Support_query.rule_support_level
 
 let append ?domains t delta =
   let update =

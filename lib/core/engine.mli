@@ -16,6 +16,9 @@
     counters ([olar_query_vertices_visited_total] for graph kernels,
     [olar_query_heap_pops_total] for the best-first support queries),
     and — when a trace sink is attached — emits a [query.<name>] span.
+    Each kind's histogram is resolved once per engine, on its first
+    query, so the per-query path builds no strings and takes no
+    registry lock.
     Preprocessing additionally surfaces the mining counters
     ([olar_mining_db_passes_total], [olar_mining_candidates_total], …)
     and sets the [olar_lattice_vertices]/[_edges]/[_bytes] gauges. *)
@@ -203,6 +206,52 @@ val support_for_k_itemsets : t -> containing:Itemset.t -> k:int -> float option
     rules at [minconf] involving [involving] exist. *)
 val support_for_k_rules :
   t -> involving:Itemset.t -> minconf:float -> k:int -> float option
+
+(** {1 Validated entry points}
+
+    What a result cache ({!Olar_serve.Session}) computes on a miss.
+    Arguments arrive validated — a support count from {!cut}, a
+    confidence from {!Conf.of_float}, [k] through {!check_k} — and each
+    runs its kernel under its kind's query span (named in brackets),
+    as the fractional functions above do, so an executed query counts
+    once in [olar_queries_total] however it was reached. *)
+
+(** [cut ?minconf t minsup] checks [minsup] ({!count_of_support}), then
+    [minconf] ({!Conf.of_float}), then the primary threshold
+    ({!Query.Below_primary_threshold}) — the entry points' order — and
+    is the support count the query runs at. *)
+val cut : ?minconf:float -> t -> float -> int
+
+(** [check_k] is {!Support_query.check_k}. *)
+val check_k : rules:bool -> int -> unit
+
+(** Query (1)/(2) as vertex ids in canonical order
+    ({!Lattice.compare_strength}) [itemsets]. *)
+val itemset_ids : t -> containing:Itemset.t -> minsup:int -> Lattice.vertex_id array
+
+(** Query (3) [count_itemsets]. *)
+val itemset_count : t -> containing:Itemset.t -> minsup:int -> int
+
+(** [Single] ignores [constraints]. *)
+type rule_kind = Essential | All | Single
+
+(** The rule query of a kind [essential_rules | all_rules |
+    single_consequent_rules]. *)
+val rules :
+  t ->
+  rule_kind ->
+  containing:Itemset.t ->
+  constraints:Boundary.constraints ->
+  minsup:int ->
+  confidence:Conf.t ->
+  Rule.t list
+
+(** Query (4) as the full best-first answer [support_for_k_itemsets]. *)
+val top_k : t -> containing:Itemset.t -> k:int -> Support_query.itemsets_answer
+
+(** Query (5) as the full answer [support_for_k_rules]. *)
+val top_k_rules :
+  t -> involving:Itemset.t -> confidence:Conf.t -> k:int -> Support_query.rules_answer
 
 (** {1 Maintenance} *)
 

@@ -43,8 +43,14 @@ let best_first ?work ?scratch lattice ~start ~visit =
           done
       done)
 
+let check_k ~rules k =
+  if k < 1 then
+    invalid_arg
+      (if rules then "Support_query.find_support_for_rules: k"
+       else "Support_query.find_support: k")
+
 let find_support ?work ?scratch lattice ~containing ~k =
-  if k < 1 then invalid_arg "Support_query.find_support: k";
+  check_k ~rules:false k;
   match Lattice.find lattice containing with
   | None -> { itemsets = []; support_level = None }
   | Some start ->
@@ -100,7 +106,7 @@ let single_consequent_rules lattice ~confidence v =
   end
 
 let find_support_for_rules ?work ?scratch lattice ~involving ~confidence ~k =
-  if k < 1 then invalid_arg "Support_query.find_support_for_rules: k";
+  check_k ~rules:true k;
   match Lattice.find lattice involving with
   | None -> { rules = []; rule_support_level = None }
   | Some start ->

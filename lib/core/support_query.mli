@@ -20,6 +20,11 @@ type itemsets_answer = {
           represented in the lattice *)
 }
 
+(** [check_k ~rules k] is the argument check both searches start with:
+    [Invalid_argument "Support_query.find_support: k"] (or
+    [..._for_rules: k] when [rules]) when [k < 1]. *)
+val check_k : rules:bool -> int -> unit
+
 (** [find_support lattice ~containing ~k] answers query type (4) of
     Section 1.2. The itemset Z = [containing] counts as its own first
     answer when non-empty (it contains itself); the empty itemset is

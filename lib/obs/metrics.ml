@@ -151,9 +151,8 @@ type entry = {
 (* The registry's hashtable is shared by every domain that interns or
    looks up an instrument (the serving pool's workers all hold the same
    obs ctx), so every access goes through [lock]. Interning is off the
-   query hot path — kernels hold direct instrument handles — except for
-   [Obs.query_span]'s per-query histogram lookup, which is a single
-   short critical section. *)
+   query hot path: kernels and query spans ([Obs.query]) hold direct
+   instrument handles. *)
 type t = {
   mu : Mutex.t;
   by_name : (string, entry) Hashtbl.t;

@@ -113,34 +113,55 @@ let maybe_span obs name ?attrs f =
   | None -> f ()
   | Some ctx -> span ctx name ?attrs f
 
-(* One query entry point: counts the query, times it into a per-entry
-   histogram, reports the work delta, and wraps it all in a trace span
-   when tracing is on. [f] receives the [?work] argument to pass down to
-   the kernel. *)
-let query_span ctx ~name ~work f =
-  Counter.incr ctx.queries;
-  let hist =
-    Metrics.histogram ctx.metrics
-      ~help:("Latency of " ^ name ^ " queries")
-      ("olar_query_" ^ name ^ "_seconds")
-  in
-  let counter = work_counter ctx work in
-  let before = match counter with Some c -> Counter.value c | None -> 0 in
-  let run () =
-    let t0 = ctx.clock () in
-    Fun.protect
-      ~finally:(fun () -> Metrics.Histogram.observe hist (ctx.clock () -. t0))
-      (fun () -> f counter)
-  in
-  match ctx.tracing with
-  | None -> run ()
+(* A query kind resolved against one context: its latency histogram,
+   work counter and span name, so running a query builds no strings and
+   takes no registry lock. *)
+type query = {
+  ctx : ctx;
+  hist : Metrics.Histogram.t;
+  work : Counter.t option;
+  span_name : string;
+}
+
+let query ctx ~name ~work =
+  {
+    ctx;
+    hist =
+      Metrics.histogram ctx.metrics
+        ~help:("Latency of " ^ name ^ " queries")
+        ("olar_query_" ^ name ^ "_seconds");
+    work = work_counter ctx work;
+    span_name = "query." ^ name;
+  }
+
+(* Run [f] with the kind's work counter, timing it into the kind's
+   histogram (also when [f] raises). *)
+let timed q f () =
+  let t0 = q.ctx.clock () in
+  match f q.work with
+  | r ->
+    Metrics.Histogram.observe q.hist (q.ctx.clock () -. t0);
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Metrics.Histogram.observe q.hist (q.ctx.clock () -. t0);
+    Printexc.raise_with_backtrace e bt
+
+(* One query: counts it, times it, and wraps it in a trace span carrying
+   the work delta when tracing is on. [f] receives the [?work] argument
+   to pass down to the kernel. *)
+let query_span q f =
+  Counter.incr q.ctx.queries;
+  match q.ctx.tracing with
+  | None -> timed q f ()
   | Some sh ->
+    let before = match q.work with Some c -> Counter.value c | None -> 0 in
     let attrs () =
-      match counter with
+      match q.work with
       | None -> []
       | Some c -> [ ("work", Trace.Int (Counter.value c - before)) ]
     in
-    Trace.with_span (Trace.Sharded.tracer sh) ("query." ^ name) ~attrs run
+    Trace.with_span (Trace.Sharded.tracer sh) q.span_name ~attrs (timed q f)
 
 let attach_counter ctx ?help ?name c = Metrics.attach_counter ctx.metrics ?help ?name c
 

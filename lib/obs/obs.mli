@@ -57,13 +57,23 @@ type work =
   | Heap_pops
   | No_work
 
-(** [query_span ctx ~name ~work f] wraps one engine entry point:
-    increments [olar_queries_total], times [f] into the
-    [olar_query_<name>_seconds] histogram, passes the selected work
-    counter to [f] as its [?work] argument, and — when tracing — emits
-    a [query.<name>] span carrying the work delta. The histogram is
-    recorded even if [f] raises. *)
-val query_span : ctx -> name:string -> work:work -> (Counter.t option -> 'a) -> 'a
+(** A query kind resolved against one context: the
+    [olar_query_<name>_seconds] histogram, the selected work counter and
+    the [query.<name>] span name. Resolve it once per kind (the engine
+    keeps one per kind); running it then builds no strings and takes no
+    registry lock. *)
+type query
+
+(** [query ctx ~name ~work] resolves the kind [name], registering its
+    histogram (help text ["Latency of <name> queries"]) on first use. *)
+val query : ctx -> name:string -> work:work -> query
+
+(** [query_span q f] runs one query of kind [q]: increments
+    [olar_queries_total], times [f] into the kind's histogram, passes
+    the work counter to [f] as its [?work] argument, and — when tracing
+    — emits a [query.<name>] span carrying the work delta. The
+    histogram is recorded even if [f] raises. *)
+val query_span : query -> (Counter.t option -> 'a) -> 'a
 
 (** [span ctx name f] is a plain trace span ([f ()] unchanged when
     tracing is off). [attrs] is evaluated at close time. *)

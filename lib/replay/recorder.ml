@@ -13,7 +13,7 @@ type t = {
   work_v : Counter.t option;
   work_h : Counter.t option;
       (* the engine context's shared work counters (the same cells the
-         session and engine bump), so per-query work is a plain delta *)
+         engine's query spans bump), so per-query work is a plain delta *)
 }
 
 let create ?(slow_s = 0.0) ?(clock = Olar_util.Timer.monotonic_s) ~emit session =

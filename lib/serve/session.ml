@@ -1,12 +1,9 @@
 open Olar_data
 module Engine = Olar_core.Engine
 module Lattice = Olar_core.Lattice
-module Query = Olar_core.Query
-module Support_query = Olar_core.Support_query
 module Boundary = Olar_core.Boundary
 module Rule = Olar_core.Rule
 module Conf = Olar_core.Conf
-module Scratch = Olar_core.Scratch
 module Obs = Olar_obs.Obs
 module Metrics = Olar_obs.Metrics
 module Counter = Olar_util.Timer.Counter
@@ -14,8 +11,6 @@ module Counter = Olar_util.Timer.Counter
 (* ------------------------------------------------------------------ *)
 (* Canonical query keys                                               *)
 (* ------------------------------------------------------------------ *)
-
-type rule_kind = Essential | All | Single
 
 (* One key per canonical query. [K_find] deliberately omits the support
    cut: a single entry per start itemset holds the widest answer seen so
@@ -26,7 +21,7 @@ type rule_kind = Essential | All | Single
 type key =
   | K_find of Itemset.t
   | K_rules of {
-      kind : rule_kind;
+      kind : Engine.rule_kind;
       containing : Itemset.t;
       constraints : Boundary.constraints;
       minsup : int;
@@ -61,7 +56,7 @@ let mix h x = ((h * 0x01000193) lxor x) land max_int
 let key_hash = function
   | K_find x -> mix 1 (Itemset.hash x)
   | K_rules { kind; containing; constraints; minsup; minconf } ->
-    let h = mix 2 (match kind with Essential -> 11 | All -> 13 | Single -> 17) in
+    let h = mix 2 (match kind with Engine.Essential -> 11 | All -> 13 | Single -> 17) in
     let h = mix h (Itemset.hash containing) in
     let h = mix h (Itemset.hash constraints.Boundary.antecedent_includes) in
     let h = mix h (Itemset.hash constraints.Boundary.consequent_includes) in
@@ -252,15 +247,7 @@ type path =
 
 type t = {
   mutable engine : Engine.t;
-  mutable scratch : Scratch.t;
-      (* session-owned scratch for the id-level kernels the Engine
-         facade does not expose; replaced together with the engine *)
   cache : cache option;
-  work_vertices : Counter.t option;
-  work_heap : Counter.t option;
-      (* the engine obs context's shared work counters, interned once so
-         the cached compute paths attribute kernel work exactly like the
-         passthrough paths that go through [Engine.query_span] *)
   mutable last_path : path;
 }
 
@@ -327,26 +314,13 @@ let create ?budget_bytes engine =
         }
     end
   in
-  {
-    engine;
-    scratch = Scratch.create (Engine.lattice engine);
-    cache;
-    work_vertices =
-      Option.map
-        (fun ctx -> Obs.counter ctx "olar_query_vertices_visited_total")
-        obs;
-    work_heap =
-      Option.map (fun ctx -> Obs.counter ctx "olar_query_heap_pops_total") obs;
-    last_path = Passthrough;
-  }
+  { engine; cache; last_path = Passthrough }
 
 let engine t = t.engine
 let enabled t = t.cache <> None
 let last_path t = t.last_path
-let lattice t = Engine.lattice t.engine
 
-let fraction t count =
-  float_of_int count /. float_of_int (max 1 (Engine.db_size t.engine))
+let fraction e count = float_of_int count /. float_of_int (max 1 (Engine.db_size e))
 
 (* Record a hit's latency into the per-kind histogram (telemetry on)
    or just run it (telemetry off). *)
@@ -360,8 +334,13 @@ let observe hist f =
     r
 
 (* ------------------------------------------------------------------ *)
-(* FindItemsets family: one entry per start itemset, prefix-refined    *)
+(* One combinator over the four cache families                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The families — find prefix, exact rules, top-k itemsets, top-k
+   rules — differ only in key, coverage test, answer and compute. A
+   request is its key plus [n]: the support cut of a find, the [k] of a
+   top-k (unused by rules). *)
 
 (* Length of the prefix of [ids] (canonical order: support descending)
    whose support clears [minsup] — the refinement binary search. *)
@@ -380,268 +359,129 @@ let prefix_length lat ids minsup =
     !hi
   end
 
-let compute_find t ~containing ~minsup =
-  Array.of_list
-    (Query.find_itemsets ?work:t.work_vertices ~scratch:t.scratch (lattice t)
-       ~containing ~minsup)
+(* A find entry serves every cut at or above its floor as a prefix. A
+   best-first run of length [len] answers every k <= len (the level is
+   the support of the k-th pop) and, when it exhausted the reachable
+   set, every k > len as well (the answer is None). Rules serve only
+   their exact key. *)
+let covers payload n =
+  let run ~exhausted ~len =
+    if n <= len || exhausted then if n = len then Hit else Refine else Miss
+  in
+  match payload with
+  | P_find { floor; _ } -> if n < floor then Miss else if n = floor then Hit else Refine
+  | P_rules _ -> Hit
+  | P_topk { exhausted; items } -> run ~exhausted ~len:(Array.length items)
+  | P_topk_rules { exhausted; rules } -> run ~exhausted ~len:(Array.length rules)
 
-(* The cached array plus the prefix length serving this cut. *)
-let find_prefix t c ~containing ~minsup =
-  let epoch = Engine.epoch t.engine in
-  let key = K_find containing in
-  match lookup c ~epoch key with
-  | Some e -> (
-    match e.e_payload with
-    | P_find { floor; ids } when minsup >= floor ->
+let compute e key n =
+  match key with
+  | K_find containing ->
+    P_find { floor = n; ids = Engine.itemset_ids e ~containing ~minsup:n }
+  | K_rules { kind; containing; constraints; minsup; minconf } ->
+    P_rules
+      (Engine.rules e kind ~containing ~constraints ~minsup
+         ~confidence:(Conf.of_float minconf))
+  | K_topk containing ->
+    let a = Engine.top_k e ~containing ~k:n in
+    P_topk { exhausted = a.support_level = None; items = Array.of_list a.itemsets }
+  | K_topk_rules { involving; minconf } ->
+    let a = Engine.top_k_rules e ~involving ~confidence:(Conf.of_float minconf) ~k:n in
+    P_topk_rules
+      { exhausted = a.rule_support_level = None; rules = Array.of_list a.rules }
+
+(* Lookup; a covering entry is a hit or refine, anything else computes
+   and widens the stale entry in place or inserts a new one. With no
+   table the same compute and answer run as a passthrough. Arguments
+   arrive validated, so only executed queries reach the engine's span. *)
+let serve t key n answer =
+  let e = t.engine in
+  match t.cache with
+  | None ->
+    t.last_path <- Passthrough;
+    answer e (compute e key n) n
+  | Some c -> (
+    let epoch = Engine.epoch e in
+    let entry = lookup c ~epoch key in
+    let path = match entry with Some en -> covers en.e_payload n | None -> Miss in
+    t.last_path <- path;
+    match entry with
+    | Some en when path <> Miss ->
       Counter.incr c.hits;
-      if minsup > floor then begin
-        Counter.incr c.refines;
-        t.last_path <- Refine
-      end
-      else t.last_path <- Hit;
-      observe c.hist_find (fun () -> (ids, prefix_length (lattice t) ids minsup))
-    | P_find _ ->
-      (* below every cached floor: recompute and widen the entry *)
+      if path = Refine then Counter.incr c.refines;
+      let hist =
+        match key with
+        | K_find _ -> c.hist_find
+        | K_rules _ -> c.hist_rules
+        | K_topk _ | K_topk_rules _ -> c.hist_topk
+      in
+      observe hist (fun () -> answer e en.e_payload n)
+    | _ ->
       Counter.incr c.misses;
-      t.last_path <- Miss;
-      let ids = compute_find t ~containing ~minsup in
-      replace_payload c e (P_find { floor = minsup; ids });
-      (ids, Array.length ids)
-    | _ -> assert false)
-  | None ->
-    Counter.incr c.misses;
-    t.last_path <- Miss;
-    let ids = compute_find t ~containing ~minsup in
-    insert c key epoch (P_find { floor = minsup; ids });
-    (ids, Array.length ids)
-
-(* [?containing] is forwarded as the option it arrived as on the
-   passthrough paths — wrapping the default in [Some] here would box on
-   every disabled-cache call. *)
-let itemsets ?containing t ~minsup =
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Engine.itemsets ?containing t.engine ~minsup
-  | Some c ->
-    let containing = Option.value ~default:Itemset.empty containing in
-    let cut = Engine.count_of_support t.engine minsup in
-    Query.check_minsup (lattice t) cut;
-    let ids, p = find_prefix t c ~containing ~minsup:cut in
-    let lat = lattice t in
-    List.init p (fun i ->
-        let v = ids.(i) in
-        (Lattice.itemset lat v, fraction t (Lattice.support lat v)))
-
-let itemset_ids ?containing t ~minsup =
-  let cut = Engine.count_of_support t.engine minsup in
-  Query.check_minsup (lattice t) cut;
-  let containing = Option.value ~default:Itemset.empty containing in
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Array.of_list
-      (Query.find_itemsets ?work:t.work_vertices ~scratch:t.scratch (lattice t)
-         ~containing ~minsup:cut)
-  | Some c ->
-    let ids, p = find_prefix t c ~containing ~minsup:cut in
-    Array.sub ids 0 p
-
-let count_itemsets ?containing t ~minsup =
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Engine.count_itemsets ?containing t.engine ~minsup
-  | Some c ->
-    let containing = Option.value ~default:Itemset.empty containing in
-    let cut = Engine.count_of_support t.engine minsup in
-    Query.check_minsup (lattice t) cut;
-    let _, p = find_prefix t c ~containing ~minsup:cut in
-    p
+      let payload = compute e key n in
+      (match entry with
+      | Some en -> replace_payload c en payload
+      | None -> insert c key epoch payload);
+      answer e payload n)
 
 (* ------------------------------------------------------------------ *)
-(* Rule queries: exact-key caching, shared immutable lists            *)
+(* Queries: validate once, then serve                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rules_cached t c key compute =
-  let epoch = Engine.epoch t.engine in
-  match lookup c ~epoch key with
-  | Some e ->
-    Counter.incr c.hits;
-    t.last_path <- Hit;
-    observe c.hist_rules (fun () ->
-        match e.e_payload with P_rules rs -> rs | _ -> assert false)
-  | None ->
-    Counter.incr c.misses;
-    t.last_path <- Miss;
-    let rs = compute () in
-    insert c key epoch (P_rules rs);
-    rs
+let find_prefix e payload cut =
+  match payload with
+  | P_find { ids; _ } -> (ids, prefix_length (Engine.lattice e) ids cut)
+  | _ -> assert false
 
-let rules_key t kind ?containing ?constraints ~minsup ~minconf () =
-  let cut = Engine.count_of_support t.engine minsup in
-  ignore (Conf.of_float minconf);
-  Query.check_minsup (lattice t) cut;
-  K_rules
-    {
-      kind;
-      containing = Option.value ~default:Itemset.empty containing;
-      constraints = Option.value ~default:Boundary.unconstrained constraints;
-      minsup = cut;
-      minconf;
-    }
+let itemset_ids ?(containing = Itemset.empty) t ~minsup =
+  serve t (K_find containing) (Engine.cut t.engine minsup) (fun e p cut ->
+      let ids, len = find_prefix e p cut in
+      Array.sub ids 0 len)
+
+(* Counting keeps no ids, so with no table it runs the counting kernel
+   and allocates nothing beyond the engine's own. *)
+let count_itemsets ?(containing = Itemset.empty) t ~minsup =
+  let cut = Engine.cut t.engine minsup in
+  match t.cache with
+  | None ->
+    t.last_path <- Passthrough;
+    Engine.itemset_count t.engine ~containing ~minsup:cut
+  | Some _ -> serve t (K_find containing) cut (fun e p cut -> snd (find_prefix e p cut))
+
+let rules kind ?(containing = Itemset.empty) ?(constraints = Boundary.unconstrained) t
+    ~minsup ~minconf =
+  let minsup = Engine.cut ~minconf t.engine minsup in
+  serve t (K_rules { kind; containing; constraints; minsup; minconf }) 0 (fun _ p _ ->
+      match p with P_rules rs -> rs | _ -> assert false)
 
 let essential_rules ?containing ?constraints t ~minsup ~minconf =
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Engine.essential_rules ?containing ?constraints t.engine ~minsup ~minconf
-  | Some c ->
-    let key = rules_key t Essential ?containing ?constraints ~minsup ~minconf () in
-    rules_cached t c key (fun () ->
-        Engine.essential_rules ?containing ?constraints t.engine ~minsup
-          ~minconf)
+  rules Engine.Essential ?containing ?constraints t ~minsup ~minconf
 
 let all_rules ?containing ?constraints t ~minsup ~minconf =
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Engine.all_rules ?containing ?constraints t.engine ~minsup ~minconf
-  | Some c ->
-    let key = rules_key t All ?containing ?constraints ~minsup ~minconf () in
-    rules_cached t c key (fun () ->
-        Engine.all_rules ?containing ?constraints t.engine ~minsup ~minconf)
+  rules Engine.All ?containing ?constraints t ~minsup ~minconf
 
 let single_consequent_rules ?containing t ~minsup ~minconf =
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Engine.single_consequent_rules ?containing t.engine ~minsup ~minconf
-  | Some c ->
-    let key = rules_key t Single ?containing ~minsup ~minconf () in
-    rules_cached t c key (fun () ->
-        Engine.single_consequent_rules ?containing t.engine ~minsup ~minconf)
-
-(* ------------------------------------------------------------------ *)
-(* FindSupport top-k subsumption                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A cached best-first run of length L answers every k' <= L (the level
-   is the support of the k'-th pop) and, when the run exhausted the
-   reachable set, every k' > L as well (the answer is None). Only a
-   longer, non-exhausted prefix forces a recompute, which widens the
-   entry. *)
+  rules Engine.Single ?containing t ~minsup ~minconf
 
 let support_for_k_itemsets t ~containing ~k =
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Engine.support_for_k_itemsets t.engine ~containing ~k
-  | Some c -> (
-    if k < 1 then invalid_arg "Session.support_for_k_itemsets: k";
-    let epoch = Engine.epoch t.engine in
-    let key = K_topk containing in
-    let compute () =
-      let answer =
-        Support_query.find_support ?work:t.work_heap ~scratch:t.scratch
-          (lattice t) ~containing ~k
-      in
-      let payload =
-        P_topk
-          {
-            exhausted = answer.Support_query.support_level = None;
-            items = Array.of_list answer.Support_query.itemsets;
-          }
-      in
-      (payload, Option.map (fraction t) answer.Support_query.support_level)
-    in
-    match lookup c ~epoch key with
-    | Some e -> (
-      match e.e_payload with
-      | P_topk { exhausted; items } when k <= Array.length items || exhausted ->
-        Counter.incr c.hits;
-        if k <> Array.length items then begin
-          Counter.incr c.refines;
-          t.last_path <- Refine
-        end
-        else t.last_path <- Hit;
-        observe c.hist_topk (fun () ->
-            if k <= Array.length items then
-              Some (fraction t (snd items.(k - 1)))
-            else None)
-      | P_topk _ ->
-        Counter.incr c.misses;
-        t.last_path <- Miss;
-        let payload, level = compute () in
-        replace_payload c e payload;
-        level
+  Engine.check_k ~rules:false k;
+  serve t (K_topk containing) k (fun e p k ->
+      match p with
+      | P_topk { items; _ } ->
+        if k <= Array.length items then Some (fraction e (snd items.(k - 1))) else None
       | _ -> assert false)
-    | None ->
-      Counter.incr c.misses;
-      t.last_path <- Miss;
-      let payload, level = compute () in
-      insert c key epoch payload;
-      level)
 
 let support_for_k_rules t ~involving ~minconf ~k =
-  match t.cache with
-  | None ->
-    t.last_path <- Passthrough;
-    Engine.support_for_k_rules t.engine ~involving ~minconf ~k
-  | Some c -> (
-    let confidence = Conf.of_float minconf in
-    if k < 1 then invalid_arg "Session.support_for_k_rules: k";
-    let epoch = Engine.epoch t.engine in
-    let key = K_topk_rules { involving; minconf } in
-    let compute () =
-      let answer =
-        Support_query.find_support_for_rules ?work:t.work_heap
-          ~scratch:t.scratch (lattice t) ~involving ~confidence ~k
-      in
-      let payload =
-        P_topk_rules
-          {
-            exhausted = answer.Support_query.rule_support_level = None;
-            rules = Array.of_list answer.Support_query.rules;
-          }
-      in
-      ( payload,
-        Option.map (fraction t) answer.Support_query.rule_support_level )
-    in
-    match lookup c ~epoch key with
-    | Some e -> (
-      match e.e_payload with
-      | P_topk_rules { exhausted; rules } when k <= Array.length rules || exhausted
-        ->
-        Counter.incr c.hits;
-        if k <> Array.length rules then begin
-          Counter.incr c.refines;
-          t.last_path <- Refine
-        end
-        else t.last_path <- Hit;
-        observe c.hist_topk (fun () ->
-            if k <= Array.length rules then
-              (* the k-th rule in pop order comes from the run's stopping
-                 vertex, whose support is exactly the k-rule level *)
-              Some (fraction t rules.(k - 1).Rule.support_count)
-            else None)
-      | P_topk_rules _ ->
-        Counter.incr c.misses;
-        t.last_path <- Miss;
-        let payload, level = compute () in
-        replace_payload c e payload;
-        level
+  ignore (Conf.of_float minconf);
+  Engine.check_k ~rules:true k;
+  serve t (K_topk_rules { involving; minconf }) k (fun e p k ->
+      match p with
+      | P_topk_rules { rules; _ } ->
+        (* the k-th rule in pop order comes from the run's stopping
+           vertex, whose support is exactly the k-rule level *)
+        if k <= Array.length rules then Some (fraction e rules.(k - 1).Rule.support_count)
+        else None
       | _ -> assert false)
-    | None ->
-      Counter.incr c.misses;
-      t.last_path <- Miss;
-      let payload, level = compute () in
-      insert c key epoch payload;
-      level)
-
-(* ------------------------------------------------------------------ *)
-(* Boundary (uncached)                                                *)
-(* ------------------------------------------------------------------ *)
 
 (* FindBoundary answers are cheap relative to their keys (full
    constraint tuples) and rarely repeat within a session, so they are
@@ -658,7 +498,6 @@ let append ?domains t delta =
   t.last_path <- Passthrough;
   let engine', promoted = Engine.append ?domains t.engine delta in
   t.engine <- engine';
-  t.scratch <- Scratch.create (Engine.lattice engine');
   (* entries from the old epoch are now unservable; [lookup] drops them
      lazily and the LRU budget bounds them meanwhile *)
   promoted
@@ -668,9 +507,7 @@ let append ?domains t delta =
    worker session adopts its per-domain view of that snapshot at its
    next claim. The new epoch makes the old entries unservable exactly
    as in [append]. *)
-let adopt_engine t engine' =
-  t.engine <- engine';
-  t.scratch <- Scratch.create (Engine.lattice engine')
+let adopt_engine t engine' = t.engine <- engine'
 
 let flush t =
   match t.cache with

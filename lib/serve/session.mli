@@ -53,9 +53,22 @@
     [olar_cache_hit_{find,rules,topk}_seconds]. With telemetry disabled
     the same cells are kept privately for {!val-stats}.
 
-    With [budget_bytes = 0] the session is a pure passthrough: every
-    call dispatches straight to the engine with no per-query allocation
-    beyond the engine's own. *)
+    {2 One query path}
+
+    Every query validates its arguments once, before any lookup, with
+    the engine's own checks ({!Olar_core.Engine.cut},
+    {!Olar_core.Engine.check_k}), so an invalid request raises the same
+    exception whatever the budget and never reaches the engine. A valid
+    one is then served by one combinator: lookup, a covering entry is a
+    hit or refine, anything else computes through the engine's validated
+    entry points and widens or inserts the entry. With
+    [budget_bytes = 0] there is no table: the same compute and answer
+    run as a passthrough (a count runs the counting kernel, so it
+    allocates nothing beyond the engine's own). Either way a query that
+    executes counts once in [olar_queries_total] and once in its
+    [olar_query_<kind>_seconds] histogram, under the engine's span; a
+    hit or refine counts only in [olar_cache_hits_total] and
+    [olar_cache_hit_*_seconds]. *)
 
 open Olar_data
 
@@ -109,12 +122,9 @@ val last_path : t -> path
     same arguments, same results, same exceptions — with answers served
     from the cache when possible. *)
 
-val itemsets :
-  ?containing:Itemset.t -> t -> minsup:float -> (Itemset.t * float) list
-
-(** [itemset_ids t ~minsup] is {!itemsets} as a fresh array of vertex
-    ids in canonical order — the compact form the cache stores; on a
-    cache hit this is one binary search plus a blit. *)
+(** [itemset_ids t ~minsup] is {!Olar_core.Engine.itemsets} as a fresh
+    array of vertex ids in canonical order — the compact form the cache
+    stores; on a cache hit this is one binary search plus a blit. *)
 val itemset_ids :
   ?containing:Itemset.t -> t -> minsup:float -> Olar_core.Lattice.vertex_id array
 

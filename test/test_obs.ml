@@ -365,7 +365,8 @@ let test_query_span_records () =
   | Some ctx ->
     let r = Obs.metrics ctx in
     let result =
-      Obs.query_span ctx ~name:"itemsets" ~work:Obs.Vertices (fun work ->
+      Obs.query_span (Obs.query ctx ~name:"itemsets" ~work:Obs.Vertices)
+        (fun work ->
           Olar_util.Timer.Counter.bump work;
           Olar_util.Timer.Counter.bump work;
           now := 0.25;

@@ -21,6 +21,17 @@ let lattice_of db ~threshold =
   let entries = Array.of_list (Helpers.brute_frequent db ~minsup:threshold) in
   Lattice.of_entries ~db_size:(Database.size db) ~threshold entries
 
+(* [Engine.itemsets] through the session: its vertex ids, materialised
+   with fractional supports. *)
+let items ?containing session ~minsup =
+  let ids = Session.itemset_ids ?containing session ~minsup in
+  let lat = Engine.lattice (Session.engine session) in
+  let db = float_of_int (max 1 (Lattice.db_size lat)) in
+  Array.to_list
+    (Array.map
+       (fun v -> (Lattice.itemset lat v, float_of_int (Lattice.support lat v) /. db))
+       ids)
+
 (* ------------------------------------------------------------------ *)
 (* Canonical order + prefix property (the refinement soundness pins)  *)
 
@@ -171,7 +182,7 @@ let run_differential ~budget_bytes (db, threshold, ops) =
           | None -> ()
           | Some minsup ->
             if
-              Session.itemsets ~containing:x session ~minsup
+              items ~containing:x session ~minsup
               <> Engine.itemsets ~containing:x !oracle ~minsup
             then fail "items")
         | Q_ids (x, e) -> (
@@ -733,8 +744,8 @@ let test_pool_traced_spans () =
         Pool.Count_itemsets
           { containing = Itemset.empty; minsup = float_of_int (3 + i) /. 1000.0 })
   in
-  (* budget 0: the cache-less passthrough path goes through
-     [Engine.query_span], so every query leaves a span *)
+  (* budget 0: no cache hits, so every query executes under the
+     engine's query span and leaves a span *)
   let out =
     Pool.with_pool ~domains:3 ~budget_bytes:0 traced (fun pool ->
         Pool.run pool reqs)
@@ -914,15 +925,15 @@ let f c = float_of_int c /. 1000.0
    identical results; an equal cut is a verbatim hit. *)
 let test_refinement_accounting () =
   let session, engine = table2_session () in
-  let broad = Session.itemsets session ~minsup:(f 3) in
+  let broad = items session ~minsup:(f 3) in
   check Alcotest.int "broad answer is the whole lattice" 9 (List.length broad);
   let stats = Session.stats session in
   check Alcotest.int "one miss" 1 stats.Session.misses;
   check Alcotest.int "no hits yet" 0 stats.Session.hits;
-  let narrow = Session.itemsets session ~minsup:(f 10) in
+  let narrow = items session ~minsup:(f 10) in
   check Alcotest.bool "refined = engine" true
     (narrow = Engine.itemsets engine ~minsup:(f 10));
-  let verbatim = Session.itemsets session ~minsup:(f 3) in
+  let verbatim = items session ~minsup:(f 3) in
   check Alcotest.bool "verbatim = first answer" true (verbatim = broad);
   let stats = Session.stats session in
   check Alcotest.int "two hits" 2 stats.Session.hits;
@@ -945,23 +956,23 @@ let test_last_path () =
       ( = )
   in
   let session, _engine = table2_session () in
-  ignore (Session.itemsets session ~minsup:(f 3));
+  ignore (items session ~minsup:(f 3));
   check path "cold query misses" Session.Miss (Session.last_path session);
-  ignore (Session.itemsets session ~minsup:(f 10));
+  ignore (items session ~minsup:(f 10));
   check path "higher cut refines" Session.Refine (Session.last_path session);
-  ignore (Session.itemsets session ~minsup:(f 3));
+  ignore (items session ~minsup:(f 3));
   check path "verbatim hit" Session.Hit (Session.last_path session);
   ignore (Session.boundary session ~target:(set [ 1 ]) ~minconf:0.5);
   check path "boundary bypasses the cache" Session.Passthrough
     (Session.last_path session);
-  ignore (Session.itemsets session ~minsup:(f 3));
+  ignore (items session ~minsup:(f 3));
   ignore
     (Session.append session
        (Database.of_lists ~num_items:6 [ [ 1; 2 ]; [ 1; 3 ] ]));
   check path "append is maintenance, not a query" Session.Passthrough
     (Session.last_path session);
   let disabled, _ = table2_session ~budget_bytes:0 () in
-  ignore (Session.itemsets disabled ~minsup:(f 3));
+  ignore (items disabled ~minsup:(f 3));
   check path "disabled session passes through" Session.Passthrough
     (Session.last_path disabled)
 
@@ -969,20 +980,20 @@ let test_last_path () =
    old floor is then served as a prefix of the widened one. *)
 let test_floor_widening () =
   let session, engine = table2_session () in
-  ignore (Session.itemsets session ~minsup:(f 10));
-  ignore (Session.itemsets session ~minsup:(f 3));
+  ignore (items session ~minsup:(f 10));
+  ignore (items session ~minsup:(f 3));
   let stats = Session.stats session in
   check Alcotest.int "second query re-misses below the floor" 2
     stats.Session.misses;
   check Alcotest.bool "widened entry serves the old cut" true
-    (Session.itemsets session ~minsup:(f 10)
+    (items session ~minsup:(f 10)
     = Engine.itemsets engine ~minsup:(f 10));
   let stats = Session.stats session in
   check Alcotest.int "served as refine" 1 stats.Session.refines
 
 let test_count_uses_prefix () =
   let session, engine = table2_session () in
-  ignore (Session.itemsets session ~minsup:(f 3));
+  ignore (items session ~minsup:(f 3));
   check Alcotest.int "count from the cached prefix"
     (Engine.count_itemsets engine ~minsup:(f 7))
     (Session.count_itemsets session ~minsup:(f 7));
@@ -1044,7 +1055,7 @@ let test_topk_rules_subsumption () =
 let test_lru_eviction () =
   let session, engine = table2_session ~budget_bytes:700 () in
   List.iter
-    (fun i -> ignore (Session.itemsets ~containing:(set [ i ]) session ~minsup:(f 3)))
+    (fun i -> ignore (items ~containing:(set [ i ]) session ~minsup:(f 3)))
     [ 0; 1; 2; 3; 0; 1 ];
   let stats = Session.stats session in
   check Alcotest.bool "evictions happened" true (stats.Session.evictions > 0);
@@ -1052,7 +1063,7 @@ let test_lru_eviction () =
     (stats.Session.resident_bytes <= stats.Session.budget_bytes);
   (* correctness is unaffected by churn *)
   check Alcotest.bool "answers still exact" true
-    (Session.itemsets ~containing:(set [ 2 ]) session ~minsup:(f 3)
+    (items ~containing:(set [ 2 ]) session ~minsup:(f 3)
     = Engine.itemsets ~containing:(set [ 2 ]) engine ~minsup:(f 3))
 
 (* After append the engine epoch changes: the old entry is dropped at
@@ -1061,12 +1072,12 @@ let test_epoch_invalidation () =
   let db = Helpers.small_db () in
   let lat = lattice_of db ~threshold:2 in
   let session = Session.create (Engine.of_lattice lat) in
-  let before = Session.itemsets session ~minsup:(2.0 /. 10.0) in
+  let before = items session ~minsup:(2.0 /. 10.0) in
   let delta = Database.of_lists ~num_items:5 [ [ 0; 1 ]; [ 0; 1 ]; [ 0; 1 ] ] in
   let _promoted = Session.append session delta in
   let oracle, _ = Engine.append (Engine.of_lattice lat) delta in
   let minsup = 2.0 /. float_of_int (Engine.db_size oracle) in
-  let after = Session.itemsets session ~minsup in
+  let after = items session ~minsup in
   check Alcotest.bool "post-append answer matches a fresh engine" true
     (after = Engine.itemsets oracle ~minsup);
   check Alcotest.bool "supports actually moved" true (after <> before);
@@ -1076,7 +1087,7 @@ let test_epoch_invalidation () =
 
 let test_flush () =
   let session, _ = table2_session () in
-  ignore (Session.itemsets session ~minsup:(f 3));
+  ignore (items session ~minsup:(f 3));
   ignore (Session.essential_rules session ~minsup:(f 3) ~minconf:0.5);
   let stats = Session.stats session in
   check Alcotest.int "two entries cached" 2 stats.Session.entries;
@@ -1084,14 +1095,14 @@ let test_flush () =
   let stats = Session.stats session in
   check Alcotest.int "flush empties the table" 0 stats.Session.entries;
   check Alcotest.int "flush zeroes residency" 0 stats.Session.resident_bytes;
-  ignore (Session.itemsets session ~minsup:(f 3));
+  ignore (items session ~minsup:(f 3));
   check Alcotest.int "next query re-misses" 3 (Session.stats session).Session.misses
 
 let test_disabled_passthrough () =
   let session, engine = table2_session ~budget_bytes:0 () in
   check Alcotest.bool "disabled" false (Session.enabled session);
   check Alcotest.bool "still answers" true
-    (Session.itemsets session ~minsup:(f 4) = Engine.itemsets engine ~minsup:(f 4));
+    (items session ~minsup:(f 4) = Engine.itemsets engine ~minsup:(f 4));
   let stats = Session.stats session in
   check Alcotest.int "no accounting" 0 (stats.Session.hits + stats.Session.misses);
   Alcotest.check_raises "negative budget rejected"
@@ -1128,6 +1139,130 @@ let test_disabled_zero_alloc () =
       "disabled session allocated %.0f bytes over 1000 queries vs %.0f direct"
       session_bytes engine_bytes
 
+(* Every read kind at budgets 0 and 1 MiB, with valid requests and with
+   k = 0, minconf = 0 and minsup below the primary threshold. Both
+   budgets must give the same answer or the same exception text, and
+   telemetry must depend only on whether a query executed: a miss or
+   passthrough adds one [olar_queries_total] and one observation to its
+   kind's [olar_query_<kind>_seconds]; a hit, a refine or a rejected
+   request adds neither. *)
+let test_budget_parity () =
+  let a = set [ 1 ] in
+  let empty = Itemset.empty in
+  let unconstrained = Boundary.unconstrained in
+  let constraints = { unconstrained with Boundary.consequent_includes = set [ 2 ] } in
+  let reqs =
+    Pool.
+      [
+        Find_itemsets { containing = empty; minsup = f 3 };
+        Find_itemsets { containing = empty; minsup = f 10 };
+        Find_itemsets { containing = empty; minsup = f 3 };
+        Find_itemsets { containing = empty; minsup = f 1 };
+        Count_itemsets { containing = a; minsup = f 4 };
+        Count_itemsets { containing = a; minsup = f 5 };
+        Count_itemsets { containing = a; minsup = f 1 };
+        Essential_rules { containing = a; constraints; minsup = f 3; minconf = 0.1 };
+        Essential_rules { containing = a; constraints; minsup = f 3; minconf = 0.1 };
+        Essential_rules { containing = a; constraints; minsup = f 3; minconf = 0.0 };
+        Essential_rules { containing = a; constraints; minsup = f 1; minconf = 0.1 };
+        All_rules { containing = empty; constraints = unconstrained; minsup = f 3; minconf = 0.2 };
+        All_rules { containing = empty; constraints = unconstrained; minsup = f 3; minconf = 0.0 };
+        Single_consequent_rules { containing = empty; minsup = f 3; minconf = 0.2 };
+        Single_consequent_rules { containing = empty; minsup = f 1; minconf = 0.2 };
+        Support_for_k_itemsets { containing = a; k = 2 };
+        Support_for_k_itemsets { containing = a; k = 1 };
+        Support_for_k_itemsets { containing = a; k = 0 };
+        Support_for_k_rules { involving = a; minconf = 0.2; k = 2 };
+        Support_for_k_rules { involving = a; minconf = 0.2; k = 1 };
+        Support_for_k_rules { involving = a; minconf = 0.2; k = 0 };
+        Support_for_k_rules { involving = a; minconf = 0.0; k = 2 };
+        Boundary { target = set [ 0; 1; 2 ]; constraints = unconstrained; minconf = 0.3 };
+        Boundary { target = set [ 0; 1; 2 ]; constraints = unconstrained; minconf = 0.0 };
+        Boundary { target = set [ 99 ]; constraints = unconstrained; minconf = 0.3 };
+      ]
+  in
+  let kind ~budget_bytes = function
+    | Pool.Find_itemsets _ -> "itemsets"
+    | Count_itemsets _ -> if budget_bytes = 0 then "count_itemsets" else "itemsets"
+    | Essential_rules _ -> "essential_rules"
+    | All_rules _ -> "all_rules"
+    | Single_consequent_rules _ -> "single_consequent_rules"
+    | Support_for_k_itemsets _ -> "support_for_k_itemsets"
+    | Support_for_k_rules _ -> "support_for_k_rules"
+    | Boundary _ -> "boundary"
+    | Append _ -> assert false
+  in
+  let run ~budget_bytes =
+    let obs = Olar_obs.Obs.create () in
+    let registry = Olar_obs.Obs.metrics (Option.get obs) in
+    let session =
+      Session.create ~budget_bytes
+        (Engine.of_lattice ~obs (Helpers.table2_lattice ()))
+    in
+    let module M = Olar_obs.Metrics in
+    let queries () =
+      match M.find registry "olar_queries_total" with
+      | Some { M.metric = M.M_counter c; _ } -> M.Counter.value c
+      | _ -> 0
+    in
+    let observations name =
+      match M.find registry ("olar_query_" ^ name ^ "_seconds") with
+      | Some { M.metric = M.M_histogram h; _ } -> M.Histogram.count h
+      | _ -> 0
+    in
+    let all_observations () =
+      List.fold_left
+        (fun acc (e : M.entry) ->
+          match e.M.metric with
+          | M.M_histogram h
+            when String.starts_with ~prefix:"olar_query_" e.M.name
+                 && String.ends_with ~suffix:"_seconds" e.M.name ->
+            acc + M.Histogram.count h
+          | _ -> acc)
+        0 (M.to_list registry)
+    in
+    let outcomes =
+      List.map
+      (fun req ->
+        let label = req_print req in
+        let name = kind ~budget_bytes req in
+        let q0 = queries () and h0 = observations name in
+        let all0 = all_observations () in
+        let outcome =
+          match Pool.exec session req with
+          | resp -> Ok resp
+          | exception e -> Error (Printexc.to_string e)
+        in
+        let executed =
+          match (outcome, Session.last_path session) with
+          | Error _, _ | Ok _, (Session.Hit | Session.Refine) -> 0
+          | Ok _, (Session.Miss | Session.Passthrough) -> 1
+        in
+        check Alcotest.int (label ^ ": olar_queries_total") executed (queries () - q0);
+        check Alcotest.int (label ^ ": olar_query_" ^ name ^ "_seconds") executed
+          (observations name - h0);
+        check Alcotest.int (label ^ ": query histograms") executed
+          (all_observations () - all0);
+        (label, outcome))
+      reqs
+    in
+    (outcomes, Session.stats session)
+  in
+  let uncached, _ = run ~budget_bytes:0 in
+  let cached, stats = run ~budget_bytes:(1 lsl 20) in
+  check Alcotest.bool "the cached run hit and refined" true
+    (stats.Session.hits > 0 && stats.Session.refines > 0);
+  List.iter2
+    (fun (label, a) (_, b) ->
+      match (a, b) with
+      | Ok a, Ok b -> check Alcotest.bool (label ^ ": same answer") true (a = b)
+      | Error a, Error b -> check Alcotest.string (label ^ ": same exception") a b
+      | Ok _, Error e | Error e, Ok _ ->
+        Alcotest.failf "%s: one budget raised %s, the other answered" label e)
+    uncached cached;
+  check Alcotest.int "every invalid request rejected" 10
+    (List.length (List.filter (fun (_, o) -> Result.is_error o) cached))
+
 let case name fn = Alcotest.test_case name `Quick fn
 
 let suites =
@@ -1146,6 +1281,7 @@ let suites =
         case "flush" test_flush;
         case "disabled passthrough" test_disabled_passthrough;
         case "disabled session allocates nothing" test_disabled_zero_alloc;
+        case "every read kind: budget 0 and 1 MiB agree" test_budget_parity;
       ] );
     Helpers.qsuite "serve.order"
       [ canonical_order_prop; prefix_property_prop ];

@@ -478,6 +478,17 @@ let test_atomic_file_replaces () =
       Olar_util.Atomic_file.write path (fun oc -> output_string oc "second\n");
       check Alcotest.string "replaced" "second\n" (read_file path);
       check Alcotest.(list string) "no temp file left" [ "target" ]
+        (Array.to_list (Sys.readdir dir));
+      (* a bare relative name lives in the current directory, which is
+         the directory fsynced after the rename *)
+      let cwd = Sys.getcwd () in
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir cwd)
+        (fun () ->
+          Sys.chdir dir;
+          Olar_util.Atomic_file.write "target" (fun oc -> output_string oc "bare\n"));
+      check Alcotest.string "bare name replaced" "bare\n" (read_file path);
+      check Alcotest.(list string) "still no temp file" [ "target" ]
         (Array.to_list (Sys.readdir dir)))
 
 (* A writer that dies halfway — after writing part of the new content —

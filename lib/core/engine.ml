@@ -354,10 +354,23 @@ let support_for_k_rules t ~involving ~minconf ~k =
     (top_k_rules t ~involving ~confidence ~k).Support_query.rule_support_level
 
 let append ?domains t delta =
+  let out = ref None in
   let update =
     Obs.maybe_span t.obs "append"
-      ~attrs:(fun () -> [ ("delta_size", Trace.Int (Database.size delta)) ])
-      (fun () -> Maintenance.append ?domains t.lattice delta)
+      ~attrs:(fun () ->
+        ("delta_size", Trace.Int (Database.size delta))
+        ::
+        (match !out with
+        | None -> []
+        | Some u ->
+          [
+            ("vertices_bumped", Trace.Int u.Maintenance.vertices_bumped);
+            ("rows_resorted", Trace.Int u.Maintenance.rows_resorted);
+          ]))
+      (fun () ->
+        let u = Maintenance.append ?domains t.lattice delta in
+        out := Some u;
+        u)
   in
   ( of_lattice ~obs:t.obs update.Maintenance.lattice,
     update.Maintenance.promoted_candidates )

@@ -285,6 +285,65 @@ let of_packed ~db_size ~threshold ~item_off ~item_buf ~supports ~child_off
   }
 
 (* ------------------------------------------------------------------ *)
+(* Construction from an older lattice by support bumps (appends). *)
+
+(* Insertion sort of buf.[lo..hi) into decreasing support, ties by
+   ascending id. A row whose members only gained support is nearly
+   sorted: each bumped child moves toward the front past the children
+   it overtook, so the cost is the row length plus those moves. *)
+let sort_row supports buf lo hi =
+  for i = lo + 1 to hi - 1 do
+    let c = buf.(i) in
+    let s = supports.(c) in
+    let j = ref (i - 1) in
+    while
+      !j >= lo
+      &&
+      let d = buf.(!j) in
+      supports.(d) < s || (supports.(d) = s && d > c)
+    do
+      buf.(!j + 1) <- buf.(!j);
+      decr j
+    done;
+    buf.(!j + 1) <- c
+  done
+
+let bump t ~db_size ~vertices ~counts =
+  let fail msg = invalid_arg ("Lattice.bump: " ^ msg) in
+  let n = Array.length t.supports in
+  if db_size < t.db_size then fail "db_size";
+  if Array.length counts <> Array.length vertices then
+    fail "vertices and counts differ in length";
+  let supports = Array.copy t.supports in
+  supports.(0) <- db_size;
+  Array.iteri
+    (fun k v ->
+      if v < 1 || v >= n then fail "vertex id";
+      if counts.(k) < 0 then fail "negative count";
+      supports.(v) <- supports.(v) + counts.(k))
+    vertices;
+  (* Supports only grew, so the threshold still holds everywhere and a
+     vertex outside [vertices] cannot break monotonicity; only the
+     bumped vertices need checking, against their (final) parents. The
+     rows to re-sort are the child rows of those parents. *)
+  let child_buf = Array.copy t.child_buf in
+  let resorted = Olar_util.Bitset.create n and rows = ref 0 in
+  Array.iter
+    (fun v ->
+      if supports.(v) > db_size then fail "support out of range";
+      for k = t.parent_off.(v) to t.parent_off.(v + 1) - 1 do
+        let p = t.parent_buf.(k) in
+        if supports.(p) < supports.(v) then fail "support not monotone";
+        if not (Olar_util.Bitset.mem resorted p) then begin
+          Olar_util.Bitset.add resorted p;
+          incr rows;
+          sort_row supports child_buf t.child_off.(p) t.child_off.(p + 1)
+        end
+      done)
+    vertices;
+  ({ t with db_size; supports; child_buf }, !rows)
+
+(* ------------------------------------------------------------------ *)
 (* Observation. *)
 
 let db_size t = t.db_size

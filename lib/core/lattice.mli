@@ -35,7 +35,8 @@
     A [Lattice.t] is {b immutable once built}: no function in this
     interface mutates an existing lattice, and the implementation holds
     no mutable state (incremental maintenance, [Maintenance.append],
-    builds a {e new} lattice). This is a stated invariant, not an
+    builds a {e new} lattice that shares the arrays an append leaves
+    unchanged, see {!bump}). This is a stated invariant, not an
     accident: the serving pool ({!module:Olar_serve} [Pool]) shares one
     lattice by reference across every worker domain with no locking,
     and each domain layers its own mutable state ({!Scratch},
@@ -87,6 +88,27 @@ val of_packed :
   child_off:int array ->
   child_buf:int array ->
   t
+
+(** [bump t ~db_size ~vertices ~counts] is [t] over a database grown to
+    [db_size] transactions, with [counts.(k)] added to the support of
+    vertex [vertices.(k)] (a repeated id gets the sum) and the root
+    relabelled [db_size] — the lattice after an append
+    ([Maintenance.append]). An append moves no vertex id, so only the
+    supports and the order inside the child rows of the bumped
+    vertices' parents change; those rows are re-sorted in place in a
+    copied child buffer. Every other array (items, offsets, parent
+    rows, index) is physically shared with [t], which is sound because
+    lattices are immutable. Cost: one copy each of the support and
+    child arrays, plus the bumped vertices' parent rows and the child
+    rows re-sorted; nothing is re-indexed or re-derived.
+
+    Returns the new lattice and the number of child rows re-sorted.
+    Requirements, checked, with [Invalid_argument] raised on violation:
+    [db_size >= db_size t]; equal-length arrays; non-root ids in range;
+    counts [>= 0]; every bumped support [<= db_size]; and support
+    monotonicity between each bumped vertex and its parents. *)
+val bump :
+  t -> db_size:int -> vertices:vertex_id array -> counts:int array -> t * int
 
 (** [db_size t] is the number of transactions behind the supports. *)
 val db_size : t -> int

@@ -120,6 +120,29 @@ let db_gen =
   let* rows = list_repeat num_txns txn in
   return (Database.of_lists ~num_items rows)
 
+(* A random append batch for [old_db]: 0-12 rows (empty about one time
+   in five), each either a repeat of an old row or a fresh row over the
+   old universe widened by up to three new item ids. *)
+let delta_gen old_db =
+  let open QCheck2.Gen in
+  let* extra = int_range 0 3 in
+  let num_items = Database.num_items old_db + extra in
+  let fresh =
+    let* size = int_range 0 num_items in
+    list_repeat size (int_range 0 (num_items - 1))
+  in
+  let repeat =
+    map
+      (fun i -> Itemset.to_list (Database.get old_db i))
+      (int_range 0 (Database.size old_db - 1))
+  in
+  let* rows =
+    list_size
+      (frequency [ (1, return 0); (4, int_range 1 12) ])
+      (oneof [ fresh; repeat ])
+  in
+  return (Database.of_lists ~num_items rows)
+
 let db_print db =
   Format.asprintf "db(%d items):@ %a" (Database.num_items db)
     (Format.pp_print_list Itemset.pp)

@@ -296,6 +296,71 @@ let maintenance_prop =
         (fun (x, c) -> c = Database.support_count merged x)
         (Lattice.entries update.Maintenance.lattice))
 
+(* [old_db] with every row of [delta] appended, over the wider of the
+   two universes. *)
+let concat_db old_db delta =
+  let rows db =
+    List.init (Database.size db) (fun i -> Itemset.to_list (Database.get db i))
+  in
+  Database.of_lists
+    ~num_items:(max (Database.num_items old_db) (Database.num_items delta))
+    (rows old_db @ rows delta)
+
+(* The exactness floor: after appends totalling r rows, answers at
+   minsup >= threshold + r equal those of a re-mine over old ∪ deltas,
+   even though the re-mine may hold itemsets the folded lattice lacks
+   (they sit below the floor). *)
+let exactness_floor_prop =
+  let gen =
+    let open QCheck2.Gen in
+    let* db = Helpers.db_gen in
+    let* threshold = int_range 1 4 in
+    let* deltas = list_size (int_range 1 3) (Helpers.delta_gen db) in
+    let* containing =
+      Helpers.itemset_gen ~num_items:(Database.num_items db)
+    in
+    let* above = int_range 0 3 in
+    let* conf_step = int_range 0 4 in
+    return (db, threshold, deltas, containing, above, conf_step)
+  in
+  QCheck2.Test.make
+    ~name:"maintenance: answers at threshold + appended rows = rebuild"
+    ~count:100
+    ~print:(fun (db, threshold, deltas, containing, above, conf_step) ->
+      Format.asprintf
+        "%s@ threshold=%d@ deltas [%s]@ containing=%a above=%d conf_step=%d"
+        (Helpers.db_print db) threshold
+        (String.concat "; " (List.map Helpers.db_print deltas))
+        Itemset.pp containing above conf_step)
+    gen
+    (fun (db, threshold, deltas, containing, above, conf_step) ->
+      let lat =
+        Lattice.of_entries ~db_size:(Database.size db) ~threshold
+          (Array.of_list (Helpers.brute_frequent db ~minsup:threshold))
+      in
+      let folded =
+        List.fold_left
+          (fun lat d -> (Maintenance.append lat d).Maintenance.lattice)
+          lat deltas
+      in
+      let delta =
+        List.fold_left concat_db (List.hd deltas) (List.tl deltas)
+      in
+      let rebuilt = Maintenance.rebuild ~threshold ~old_db:db ~delta () in
+      let minsup = threshold + Database.size delta + above in
+      let confidence =
+        Conf.of_float (0.2 +. (0.15 *. float_of_int conf_step))
+      in
+      let answers lat =
+        ( Query.to_entries lat (Query.find_itemsets lat ~containing ~minsup),
+          Query.count_itemsets lat ~containing ~minsup,
+          Rulegen.essential_rules lat ~containing ~minsup ~confidence,
+          Rulegen.all_rules lat ~containing ~minsup ~confidence,
+          Rulegen.single_consequent_rules lat ~containing ~minsup ~confidence )
+      in
+      Lattice.db_size folded = Lattice.db_size rebuilt
+      && answers folded = answers rebuilt)
+
 (* ------------------------------------------------------------------ *)
 (* Bitmap *)
 
@@ -722,6 +787,7 @@ let suites =
         case "no promotions on small delta" test_append_no_promotions_small_delta;
         case "queries stay consistent" test_append_queries_stay_consistent;
         QCheck_alcotest.to_alcotest maintenance_prop;
+        QCheck_alcotest.to_alcotest exactness_floor_prop;
       ] );
     ( "data.bitmap",
       [

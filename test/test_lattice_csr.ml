@@ -159,6 +159,113 @@ let entries_roundtrip_prop =
       = Boundary.find_boundary lat' ~target ~confidence:(conf 0.5))
 
 (* ------------------------------------------------------------------ *)
+(* Append fold: Maintenance.append against a rebuild over exact counts *)
+
+let fold_gen =
+  let open QCheck2.Gen in
+  let* db = Helpers.db_gen in
+  let* threshold = int_range 1 4 in
+  let* delta = Helpers.delta_gen db in
+  return (db, threshold, delta)
+
+let fold_print (db, threshold, delta) =
+  Format.asprintf "%s@ threshold=%d@ delta %s" (Helpers.db_print db) threshold
+    (Helpers.db_print delta)
+
+(* Everything a lattice is made of, for array equality. *)
+let csr_image lat =
+  ( Lattice.db_size lat,
+    Lattice.threshold lat,
+    [
+      Lattice.support_array lat;
+      Lattice.item_offsets lat;
+      Lattice.item_buffer lat;
+      Lattice.child_offsets lat;
+      Lattice.child_edges lat;
+      Lattice.parent_offsets lat;
+      Lattice.parent_edges lat;
+    ] )
+
+(* The arrays an append leaves alone, and so must share. *)
+let unchanged_arrays lat =
+  [
+    Lattice.item_offsets lat;
+    Lattice.item_buffer lat;
+    Lattice.child_offsets lat;
+    Lattice.parent_offsets lat;
+    Lattice.parent_edges lat;
+  ]
+
+(* The oracle counts the delta naively, one full scan per itemset, and
+   builds the expected lattice from scratch; the fold must match it on
+   every array, share the unchanged ones, and report its work exactly:
+   the vertices with a non-zero delta count and their distinct
+   parents' rows. *)
+let fold_oracle_prop =
+  QCheck2.Test.make ~name:"csr: append fold = of_entries over exact counts"
+    ~count:300 ~print:fold_print fold_gen
+    (fun (db, threshold, delta) ->
+      let lat = lattice_of db ~threshold in
+      let update = Maintenance.append lat delta in
+      let entries = Lattice.entries lat in
+      let delta_count =
+        Array.map (fun (x, _) -> Database.support_count delta x) entries
+      in
+      let expected =
+        Lattice.of_entries
+          ~db_size:(Database.size db + Database.size delta)
+          ~threshold
+          (Array.mapi (fun k (x, c) -> (x, c + delta_count.(k))) entries)
+      in
+      (* entry k is vertex k + 1 *)
+      let bumped =
+        List.filter
+          (fun v -> delta_count.(v - 1) > 0)
+          (List.init (Array.length entries) succ)
+      in
+      let rows =
+        List.sort_uniq Int.compare
+          (List.concat_map
+             (fun v -> Array.to_list (Lattice.parents lat v))
+             bumped)
+      in
+      let folded = update.Maintenance.lattice in
+      csr_image folded = csr_image expected
+      && List.for_all2 ( == ) (unchanged_arrays lat) (unchanged_arrays folded)
+      && update.Maintenance.vertices_bumped = List.length bumped
+      && update.Maintenance.rows_resorted = List.length rows)
+
+let test_bump_rejects () =
+  let lat = Helpers.table2_lattice () in
+  let a = Option.get (Lattice.find lat (set [ 0 ])) in
+  let ab = Option.get (Lattice.find lat (set [ 0; 1 ])) in
+  let rejects label ~db_size vertices counts =
+    match Lattice.bump lat ~db_size ~vertices ~counts with
+    | exception Invalid_argument msg ->
+      check Alcotest.bool (label ^ ": names bump") true
+        (Helpers.contains_substring msg "Lattice.bump")
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+  in
+  rejects "shrinking db" ~db_size:999 [||] [||];
+  rejects "length mismatch" ~db_size:1000 [| a |] [||];
+  rejects "root id" ~db_size:1000 [| 0 |] [| 1 |];
+  rejects "id out of range" ~db_size:1000
+    [| Lattice.num_vertices lat |]
+    [| 1 |];
+  rejects "negative count" ~db_size:1000 [| a |] [| -1 |];
+  let c = Option.get (Lattice.find lat (set [ 2 ])) in
+  rejects "above db_size" ~db_size:1001 [| c |] [| 972 |];
+  (* {0,1} at 4 + 7 = 11 would exceed its parent {0} at 10 *)
+  rejects "not monotone" ~db_size:1000 [| ab |] [| 7 |];
+  let lat', rows =
+    Lattice.bump lat ~db_size:1000 ~vertices:[| ab; a; ab |]
+      ~counts:[| 3; 4; 4 |]
+  in
+  check Alcotest.int "repeated id sums" 11 (Lattice.support lat' ab);
+  check Alcotest.int "rows of {0}, {1} and the root" 3 rows;
+  check Alcotest.bool "input untouched" true (Lattice.support lat ab = 4)
+
+(* ------------------------------------------------------------------ *)
 (* Structural invariants of the packed layout *)
 
 let csr_invariants_prop =
@@ -258,6 +365,33 @@ let serialize_roundtrip_prop =
               && Lattice.estimated_bytes lat = Lattice.estimated_bytes lat'
               && Query.find_itemsets lat ~containing ~minsup
                  = Query.find_itemsets lat' ~containing ~minsup)))
+
+(* A lattice folded by three appends saves and loads to the same
+   arrays: [of_packed] re-derives every child row from the supports, so
+   a mis-sorted row would fail the load. *)
+let folded_serialize_prop =
+  let gen =
+    let open QCheck2.Gen in
+    let* db, threshold, d1 = fold_gen in
+    let* d2 = Helpers.delta_gen db in
+    let* d3 = Helpers.delta_gen db in
+    return (db, threshold, [ d1; d2; d3 ])
+  in
+  QCheck2.Test.make ~name:"csr: a lattice after three appends round-trips"
+    ~count:100
+    ~print:(fun (db, threshold, deltas) ->
+      String.concat " ++ "
+        (fold_print (db, threshold, List.hd deltas)
+        :: List.map Helpers.db_print (List.tl deltas)))
+    gen
+    (fun (db, threshold, deltas) ->
+      let lat =
+        List.fold_left
+          (fun lat d -> (Maintenance.append lat d).Maintenance.lattice)
+          (lattice_of db ~threshold) deltas
+      in
+      with_saved lat (fun path ->
+          csr_image (Serialize.load path) = csr_image lat))
 
 (* Generate the retired v1 format from the entries and load it. *)
 let v1_lines lat =
@@ -543,6 +677,7 @@ let suites =
         case "scratch nested use" test_scratch_nested_use;
         case "scratch epoch wraparound" test_scratch_epoch_wrap;
         case "scratch wrong lattice" test_scratch_wrong_lattice;
+        case "bump rejects bad counts" test_bump_rejects;
       ] );
     Helpers.qsuite "core.csr.diff"
       [
@@ -552,7 +687,13 @@ let suites =
         boundary_csr_prop;
         entries_roundtrip_prop;
         csr_invariants_prop;
+        fold_oracle_prop;
       ];
     Helpers.qsuite "core.csr.serialize"
-      [ serialize_roundtrip_prop; v1_compat_prop; corruption_prop ];
+      [
+        serialize_roundtrip_prop;
+        v1_compat_prop;
+        corruption_prop;
+        folded_serialize_prop;
+      ];
   ]

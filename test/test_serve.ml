@@ -911,6 +911,29 @@ let test_pool_generation_reclaim () =
       in
       wait 500)
 
+(* An append publishes a lattice that shares the previous snapshot's
+   unchanged CSR buffers: only supports and child rows move. A fold
+   that went back to rebuilding the whole lattice would copy them. *)
+let test_pool_append_shares_buffers () =
+  let engine = Engine.of_lattice (Helpers.table2_lattice ()) in
+  Pool.with_pool ~domains:2 engine (fun pool ->
+      let before = Engine.lattice (Pool.engine pool) in
+      let delta = Database.of_lists ~num_items:4 [ [ 0; 1; 2 ]; [ 1; 3 ] ] in
+      (match Pool.run pool [| Pool.Append delta |] with
+      | [| Pool.R_promoted _ |] -> ()
+      | _ -> Alcotest.fail "append must promote");
+      check Alcotest.int "published" 1 (Pool.generation pool);
+      let after = Engine.lattice (Pool.engine pool) in
+      check Alcotest.int "db grew" 1002 (Lattice.db_size after);
+      check Alcotest.bool "supports are new" true
+        (Lattice.support_array after != Lattice.support_array before);
+      check Alcotest.bool "item buffer shared" true
+        (Lattice.item_buffer after == Lattice.item_buffer before);
+      check Alcotest.bool "parent edges shared" true
+        (Lattice.parent_edges after == Lattice.parent_edges before);
+      check Alcotest.bool "child offsets shared" true
+        (Lattice.child_offsets after == Lattice.child_offsets before))
+
 (* ------------------------------------------------------------------ *)
 (* Units *)
 
@@ -1299,6 +1322,8 @@ let suites =
           test_pool_generation_reclaim;
         case "recorder run = serial reference, every kind"
           test_recorder_matches_reference;
+        case "append shares the unchanged CSR buffers"
+          test_pool_append_shares_buffers;
       ] );
     Helpers.qsuite "serve.pool.diff"
       [

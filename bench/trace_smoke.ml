@@ -4,11 +4,13 @@
    with tracing on and a 1-in-2 request sample, then validates the
    emitted spans file end to end: every sampled request must have
    produced one http.request root with exactly six phase.* children,
-   every span must carry the domain that produced it, and children must
-   precede their parents in file order — the child-first contract
-   consumers rebuild trees from, which {!Trace.Sharded.flush} promises
-   to preserve across the per-domain buffer merge. The /statusz phase
-   histograms must account for every served query.
+   the six phases must tile their root (each starting where the previous
+   one ended, the root lasting their sum), every span must carry the
+   domain that produced it, and children must precede their parents in
+   file order — the child-first contract consumers rebuild trees from,
+   which {!Trace.Sharded.flush} promises to preserve across the
+   per-domain buffer merge. The /statusz phase histograms must account
+   for every served query.
 
    Usage: trace_smoke.exe TRACE_OUT [QUERIES] *)
 
@@ -229,6 +231,31 @@ let () =
       if names <> phase_names then
         die "root %d has children [%s], expected the six phases" rid
           (String.concat "; " names);
+      (* the phases tile the root: each child starts where the previous
+         one ended, and the root lasts exactly their sum *)
+      let time name j =
+        match num name j with Some f -> f | None -> die "span lacks %s" name
+      in
+      let close a b = Float.abs (a -. b) <= 1e-9 in
+      let ended, sum =
+        List.fold_left
+          (fun (prev_end, sum) c ->
+            let start = time "start_s" c and dur = time "duration_s" c in
+            if not (close start prev_end) then
+              die "root %d: %s starts at %.9f, the previous phase ended at %.9f"
+                rid
+                (Option.value ~default:"?" (str "name" c))
+                start prev_end;
+            (start +. dur, sum +. dur))
+          (time "start_s" root, 0.0) children
+      in
+      if not (close sum (time "duration_s" root)) then
+        die "root %d lasts %.9fs, its phases sum to %.9fs" rid
+          (time "duration_s" root) sum;
+      if not (close ended (time "start_s" root +. time "duration_s" root)) then
+        die "root %d ends at %.9f, its last phase at %.9f" rid
+          (time "start_s" root +. time "duration_s" root)
+          ended;
       match Option.bind (Jsonx.path [ "attrs"; "request" ] root) Jsonx.number with
       | Some r when int_of_float r mod sample = 0 -> ()
       | Some r -> die "root %d carries unsampled request id %d" rid (int_of_float r)
@@ -236,5 +263,5 @@ let () =
     roots;
   Printf.printf
     "trace smoke: %d queries, %d sampled request traces, %d spans, \
-     child-first and domain-tagged\n"
+     child-first, domain-tagged, phases tiling each root\n"
     num_queries expected_roots (Array.length spans)

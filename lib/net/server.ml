@@ -12,6 +12,7 @@ module Timer = Olar_util.Timer
 module Counter = Timer.Counter
 module Window = Olar_obs.Window
 module Runtime_obs = Olar_obs.Runtime_obs
+module Trace = Olar_obs.Trace
 
 type config = {
   host : string;
@@ -43,6 +44,7 @@ let default_config =
   }
 
 (* The six attribution phases of one wire request, in wall-clock order.
+   They tile parse start to bytes out with no gap:
    parse:    HTTP parse + query-key decode on the connection thread
    queue:    arrival to the request being placed in a pool ring (the
              wait for the pool's intake lock, e.g. behind a fold)
@@ -54,26 +56,39 @@ let default_config =
    write:    rendering + writing the response bytes *)
 let phase_names = [| "parse"; "queue"; "dispatch"; "execute"; "deliver"; "write" |]
 
+(* A JSON object keyed by phase name, [f i] the value of phase [i]. *)
+let per_phase f =
+  Jsonx.Obj (Array.to_list (Array.mapi (fun i name -> (name, f i)) phase_names))
+
+(* What the completion callback hands the connection thread: the pool's
+   answer and completion, stamped on the executing domain. *)
+type executed = {
+  resp : Pool.response;
+  c : Pool.completion;
+  domain : int; (* Domain.self of the executing domain *)
+  t_done : float; (* monotonic when the callback ran *)
+}
+
 (* One connection's rendezvous with the pool. [conn_loop] serves a
    connection's requests one at a time, so a single waiter, allocated
    at accept and reused, carries every query the connection admits: the
    connection thread parks on [wcv] until the completion callback, on
-   whichever domain ran the query, fills in the outcome and stamps. *)
+   whichever domain ran the query, fills in the outcome. *)
 type waiter = {
   wmu : Mutex.t;
   wcv : Condition.t;
-  mutable outcome : (Pool.response * Pool.completion) option;
-  mutable t_done : float; (* monotonic when the callback ran *)
-  mutable domain : int; (* Domain.self of the executing domain *)
+  mutable outcome : executed option;
 }
 
-(* One served query, built once after the response bytes are out: what
-   the sampled trace, the stderr slow line and the /statusz slow ring
-   all report. The absolute execute window lets /statusz taint a slow
-   entry with GC pauses lazily at render time (the eventring poller may
-   record a pause after the entry is pushed; matching at read time
-   misses nothing). *)
-type served = {
+(* One served query, built once after the response bytes are out: every
+   fact the server reports about it. [close] fans it out to the phase
+   histograms, the sampled trace, the stderr slow line and the /statusz
+   slow ring; the capture line, written earlier on the executing domain,
+   reads the same completion. The absolute execute window lets /statusz
+   taint a slow entry with GC pauses lazily at render time (the
+   eventring poller may record a pause after the entry is pushed;
+   matching at read time misses nothing). *)
+type report = {
   id : int; (* server-global request id, from the HTTP front door *)
   kind : string;
   status : int;
@@ -81,8 +96,9 @@ type served = {
   exec_domain : int;
   exec_t0 : float;
   exec_t1 : float;
+  completion : Pool.completion; (* latency, wait, epoch, gen, cache path *)
   phases : float array; (* indexed as [phase_names], seconds *)
-  total_s : float;
+  total_s : float; (* the sum of [phases] *)
   uptime_s : float; (* server uptime at completion *)
 }
 
@@ -125,7 +141,7 @@ type t = {
   started_s : float; (* monotonic at create; anchors /statusz uptime *)
   (* slow-request ring (newest overwrite oldest) *)
   slow_mu : Mutex.t;
-  slow_ring : served option array;
+  slow_ring : report option array;
   mutable slow_seen : int; (* total requests over the threshold *)
   (* admission: admitted queries that have not completed *)
   inflight : int Atomic.t;
@@ -216,10 +232,10 @@ let error_response ?headers ~status msg =
     ]
 
 (* [lat_s] stays the pool's claim-to-completion service time (what
-   capture/replay compares); [total_s] is the wire-side account —
-   parse + queue + dispatch + execute + deliver. The write phase can't
-   be in the body that reports it; it lands in the phase histogram
-   after the bytes are out. *)
+   capture/replay compares); [total_s] is the wire-side account from
+   parse start to the connection thread waking with the answer — the
+   first five phases. The write phase renders this body, so it cannot
+   be in it. *)
 let ok_response resp ~id ~latency_s ~total_s =
   let digest =
     match Record.digest_response resp with
@@ -242,17 +258,11 @@ let ok_response resp ~id ~latency_s ~total_s =
 (* ------------------------------------------------------------------ *)
 
 let make_waiter () =
-  {
-    wmu = Mutex.create ();
-    wcv = Condition.create ();
-    outcome = None;
-    t_done = 0.0;
-    domain = -1;
-  }
+  { wmu = Mutex.create (); wcv = Condition.create (); outcome = None }
 
-let resolve w resp c =
+let resolve w x =
   Mutex.lock w.wmu;
-  w.outcome <- Some (resp, c);
+  w.outcome <- Some x;
   Condition.signal w.wcv;
   Mutex.unlock w.wmu
 
@@ -290,16 +300,16 @@ let admit t =
    client — one outstanding request at a time — that is exactly
    submission order, preserving the digest-exact replay property of
    single-client captures. A query that errored builds no record and
-   does not advance the sequence. The epoch is the executing domain's
-   adopted view: with non-blocking appends, [Pool.engine t.pool] may
-   already be a generation ahead of the snapshot this response was
-   computed on. *)
+   does not advance the sequence. The epoch and cache path are the
+   executing domain's: with non-blocking appends, [Pool.engine t.pool]
+   may already be a generation ahead of the snapshot this response was
+   computed on. Work counts stay 0 (see [Record.t]'s [vertices]). *)
 let record_one t (key : Record.t) resp (c : Pool.completion) =
   match t.rec_oc with
   | None -> ()
   | Some oc -> (
     match
-      Record.with_outcome key ~seq:0 ~cache:Record.Passthrough
+      Record.with_outcome key ~seq:0 ~cache:c.Pool.path
         ~latency_s:c.Pool.latency_s ~vertices:0 ~heap_pops:0
         ~epoch:c.Pool.epoch resp
     with
@@ -409,73 +419,113 @@ let ticker_loop t =
 
 let clamp0 x = Float.max 0.0 x
 
+(* The one report constructor. The six phases are the gaps between
+   seven stamps: parse start, arrival (key decoded), placed in a ring,
+   execution start, execution end, the connection thread waking, bytes
+   out. Execution start is the callback's stamp back-dated by the pool's
+   own latency, and placement is that back-dated by the ring wait. *)
+let report t ~id ~kind ~status ~t0 ~arrival ~t_awake ~t_sent x =
+  let c = x.c in
+  let exec_t0 = x.t_done -. c.Pool.latency_s in
+  let phases =
+    [|
+      clamp0 (arrival -. t0);
+      clamp0 (exec_t0 -. c.Pool.wait_s -. arrival);
+      c.Pool.wait_s;
+      c.Pool.latency_s;
+      clamp0 (t_awake -. x.t_done);
+      clamp0 (t_sent -. t_awake);
+    |]
+  in
+  {
+    id;
+    kind;
+    status;
+    t0;
+    exec_domain = x.domain;
+    exec_t0;
+    exec_t1 = x.t_done;
+    completion = c;
+    phases;
+    total_s = Array.fold_left ( +. ) 0.0 phases;
+    uptime_s = clamp0 (t_sent -. t.started_s);
+  }
+
+(* The report's identity as every sink prints it: the slow-ring entry
+   and the stderr slow line under these names, the trace root with
+   [~id:"request"] and [~domain:"exec_domain"] (a span's own [domain]
+   attribute names the domain that emitted it). One list, so the sinks
+   cannot drift apart. *)
+let report_fields ?(id = "id") ?(domain = "domain") q =
+  let c = q.completion in
+  Trace.
+    [
+      (id, Int q.id);
+      ("kind", Str q.kind);
+      ("status", Int q.status);
+      (domain, Int q.exec_domain);
+      ("cache", Str (Record.cache_path_to_string c.Pool.path));
+      ("gen", Int c.Pool.gen);
+    ]
+
+(* One slow entry: the /statusz ring renders it, and the stderr slow
+   line prints it when pushed. [gc_pause_s] is the tainting verdict: the
+   longest recorded GC pause overlapping this entry's execute window,
+   resolved lazily when /statusz renders so pauses polled after the
+   entry was pushed still count (the stderr copy has none yet). *)
+let slow_entry_json ?gc_pause_s q =
+  Jsonx.Obj
+    (List.map (fun (k, v) -> (k, Olar_obs.Sink.value_to_json v)) (report_fields q)
+    @ [
+      ("total_ms", Jsonx.Float (q.total_s *. 1e3));
+      ("phases_ms", per_phase (fun i -> Jsonx.Float (q.phases.(i) *. 1e3)));
+      ( "gc_pause_ms",
+        match gc_pause_s with
+        | Some s -> Jsonx.Float (s *. 1e3)
+        | None -> Jsonx.Null );
+      ("uptime_s", Jsonx.Float q.uptime_s);
+    ])
+
 let push_slow t q =
   Mutex.lock t.slow_mu;
   let cap = Array.length t.slow_ring in
   if cap > 0 then t.slow_ring.(t.slow_seen mod cap) <- Some q;
   t.slow_seen <- t.slow_seen + 1;
   Mutex.unlock t.slow_mu;
-  let ms i = q.phases.(i) *. 1e3 in
-  Printf.eprintf
-    "olar-serve: slow request id=%d kind=%s status=%d domain=%d total=%.1fms \
-     (parse=%.1f queue=%.1f dispatch=%.1f execute=%.1f deliver=%.1f \
-     write=%.1f)\n\
-     %!"
-    q.id q.kind q.status q.exec_domain (q.total_s *. 1e3)
-    (ms 0) (ms 1) (ms 2) (ms 3) (ms 4) (ms 5)
+  prerr_endline ("olar-serve: slow request " ^ Jsonx.to_string (slow_entry_json q))
 
-(* Emit one sampled per-request trace: six phase children (child-first)
-   under an [http.request] root spanning the whole wire latency. The
-   connection thread never touches the stack tracer — domain 0's stack
-   belongs to whichever thread holds the pool's intake lock — so the
-   spans are injected prebuilt into the calling thread's shard. *)
+(* Emit one sampled per-request trace: six phase children (child-first),
+   each starting where the previous one ended, under an [http.request]
+   root spanning their sum. The connection thread never touches the
+   stack tracer — domain 0's stack belongs to whichever thread holds the
+   pool's intake lock — so the spans are injected prebuilt into the
+   calling thread's shard. *)
 let inject_request_trace t q =
   match Option.bind t.obs_ctx Obs.tracing with
   | None -> ()
   | Some sh ->
-    let root = Olar_obs.Trace.Sharded.alloc_id sh in
+    let root = Trace.Sharded.alloc_id sh in
     let start = ref q.t0 in
     Array.iteri
       (fun i name ->
         ignore
-          (Olar_obs.Trace.Sharded.inject sh ~parent:root ~depth:1
-             ~name:("phase." ^ name) ~start_s:!start ~duration_s:q.phases.(i)
-             []);
+          (Trace.Sharded.inject sh ~parent:root ~depth:1 ~name:("phase." ^ name)
+             ~start_s:!start ~duration_s:q.phases.(i) []);
         start := !start +. q.phases.(i))
       phase_names;
     ignore
-      (Olar_obs.Trace.Sharded.inject sh ~id:root ~depth:0 ~name:"http.request"
+      (Trace.Sharded.inject sh ~id:root ~depth:0 ~name:"http.request"
          ~start_s:q.t0 ~duration_s:q.total_s
-         [
-           ("request", Olar_obs.Trace.Int q.id);
-           ("kind", Olar_obs.Trace.Str q.kind);
-           ("status", Olar_obs.Trace.Int q.status);
-           ("exec_domain", Olar_obs.Trace.Int q.exec_domain);
-         ])
+         (report_fields ~id:"request" ~domain:"exec_domain" q))
 
-(* After the response bytes are out: close the books on one served
-   query — write-phase histogram, then the one [served] record the
-   sampled trace and the slow-request log report. *)
-let finish_query t ~id ~kind ~status ~t0 ~exec_domain ~exec_t0 ~exec_t1
-    ~sampled ~phases ~write_s =
-  let write_s = clamp0 write_s in
-  phases.(5) <- write_s;
-  Metrics.Histogram.observe t.h_phase.(5) write_s;
-  let q =
-    {
-      id;
-      kind;
-      status;
-      t0;
-      exec_domain;
-      exec_t0;
-      exec_t1;
-      phases;
-      total_s = Array.fold_left ( +. ) 0.0 phases;
-      uptime_s = clamp0 (Timer.monotonic_s () -. t.started_s);
-    }
-  in
-  if sampled then inject_request_trace t q;
+(* After the response bytes are out, fan one report out to every sink:
+   the six phase histograms, the sampled trace and the slow log. *)
+let close t q =
+  for i = 0 to Array.length q.phases - 1 do
+    Metrics.Histogram.observe t.h_phase.(i) q.phases.(i)
+  done;
+  if t.cfg.trace_sample > 0 && q.id mod t.cfg.trace_sample = 0 then
+    inject_request_trace t q;
   if q.total_s >= t.cfg.slow_s then push_slow t q
 
 (* ------------------------------------------------------------------ *)
@@ -497,10 +547,7 @@ let hist_json h =
 (* Phase-histogram summaries: a Jsonx-parseable view of the six
    olar_http_phase_seconds series, so tooling (the bench harness) can
    read phase latencies without parsing Prometheus text. *)
-let phases_json t =
-  Jsonx.Obj
-    (Array.to_list
-       (Array.mapi (fun i name -> (name, hist_json t.h_phase.(i))) phase_names))
+let phases_json t = per_phase (fun i -> hist_json t.h_phase.(i))
 
 (* One windowed-histogram summary in the same shape as [phases_json]'s
    cumulative ones, plus the window's event rate. *)
@@ -531,12 +578,8 @@ let window_json t =
       ("http_5xx", Jsonx.Int r.Health.errors_5xx);
       ("request", hist_window_json (Window.histogram_window t.w_request));
       ( "phases",
-        Jsonx.Obj
-          (Array.to_list
-             (Array.mapi
-                (fun i name ->
-                  (name, hist_window_json (Window.histogram_window t.w_phase.(i))))
-                phase_names)) );
+        per_phase (fun i -> hist_window_json (Window.histogram_window t.w_phase.(i)))
+      );
     ]
 
 let gc_json t =
@@ -569,30 +612,6 @@ let health_json t =
           let p = reading.Health.exec_p99_s in
           if Float.is_finite p then Jsonx.Float (p *. 1e3) else Jsonx.Null );
       ] )
-
-(* [gc_pause_s] is the tainting verdict: the longest recorded GC pause
-   overlapping this entry's execute window, resolved lazily at render
-   time so pauses polled after the entry was pushed still count. *)
-let slow_entry_json ?gc_pause_s q =
-  Jsonx.Obj
-    [
-      ("id", Jsonx.Int q.id);
-      ("kind", Jsonx.Str q.kind);
-      ("status", Jsonx.Int q.status);
-      ("domain", Jsonx.Int q.exec_domain);
-      ("total_ms", Jsonx.Float (q.total_s *. 1e3));
-      ( "phases_ms",
-        Jsonx.Obj
-          (Array.to_list
-             (Array.mapi
-                (fun i name -> (name, Jsonx.Float (q.phases.(i) *. 1e3)))
-                phase_names)) );
-      ( "gc_pause_ms",
-        match gc_pause_s with
-        | Some s -> Jsonx.Float (s *. 1e3)
-        | None -> Jsonx.Null );
-      ("uptime_s", Jsonx.Float q.uptime_s);
-    ]
 
 let taint_slow t q =
   match t.runtime_obs with
@@ -702,18 +721,16 @@ let statusz_json t =
 
 let shed t ~status msg =
   if status >= 500 then Counter.incr t.c_5xx;
-  (error_response ~status msg, None)
+  error_response ~status msg
 
-(* [handle_query] returns the response string plus an optional
-   post-write hook: phase accounting can only complete once the write
-   phase is measured, which happens on the connection thread after
-   [send]. The connection thread submits straight to the pool and parks
-   on its waiter; the completion callback captures the record and
-   stamps the execution window on the executing domain. *)
-let handle_query t w ~rid ~t0 body =
+(* Serve one /query. The connection thread submits straight to the pool
+   and parks on its waiter; the completion callback captures the record
+   and stamps the execution on the executing domain. Once the bytes are
+   out, the request's report closes its books. *)
+let handle_query t w ~send ~rid ~t0 body =
   let fail e =
     Counter.incr t.c_bad;
-    (error_response ~status:400 e, None)
+    send (error_response ~status:400 e)
   in
   match Record.key_of_json_line body with
   | Error e -> fail ("invalid query key: " ^ e)
@@ -724,67 +741,43 @@ let handle_query t w ~rid ~t0 body =
       Counter.incr t.c_queries;
       let arrival = Timer.monotonic_s () in
       match admit t with
-      | Error (status, msg) -> shed t ~status msg
+      | Error (status, msg) -> send (shed t ~status msg)
       | Ok () ->
         let deadline =
           if t.cfg.deadline_s > 0.0 then arrival +. t.cfg.deadline_s
           else infinity
         in
         Pool.submit ~deadline t.pool req (fun resp c ->
-            w.t_done <- Timer.monotonic_s ();
-            w.domain <- (Domain.self () :> int);
+            let t_done = Timer.monotonic_s () in
             (if not c.Pool.expired then
                try record_one t key resp c
                with e ->
                  Printf.eprintf "olar-serve: capture write failed: %s\n%!"
                    (Printexc.to_string e));
-            resolve w resp c);
-        let resp, c = await w in
+            resolve w { resp; c; domain = (Domain.self () :> int); t_done });
+        let x = await w in
         Atomic.decr t.inflight;
-        if c.Pool.expired then begin
-          (* shed before execution: no phase account to close *)
+        if x.c.Pool.expired then begin
+          (* shed before execution: no report to close *)
           Counter.incr t.c_shed_deadline;
-          shed t ~status:503 "deadline exceeded"
+          send (shed t ~status:503 "deadline exceeded")
         end
         else begin
           let t_awake = Timer.monotonic_s () in
           Metrics.Histogram.observe t.h_request (clamp0 (t_awake -. arrival));
-          let exec_t0 = w.t_done -. c.Pool.latency_s in
-          (* indexed as [phase_names]; the connection thread fills the
-             write slot after the response bytes are out *)
-          let phases =
-            [|
-              clamp0 (arrival -. t0);
-              clamp0 (exec_t0 -. c.Pool.wait_s -. arrival);
-              c.Pool.wait_s;
-              c.Pool.latency_s;
-              clamp0 (t_awake -. w.t_done);
-              0.0;
-            |]
-          in
-          for i = 0 to 4 do
-            Metrics.Histogram.observe t.h_phase.(i) phases.(i)
-          done;
-          let total_s = Array.fold_left ( +. ) 0.0 phases in
-          let status, body =
-            match resp with
+          let status, bytes =
+            match x.resp with
             | Pool.R_error msg -> (422, error_response ~status:422 msg)
             | resp ->
               ( 200,
-                ok_response resp ~id:rid ~latency_s:c.Pool.latency_s ~total_s )
+                ok_response resp ~id:rid ~latency_s:x.c.Pool.latency_s
+                  ~total_s:(clamp0 (t_awake -. t0)) )
           in
-          let sampled =
-            t.cfg.trace_sample > 0
-            && Option.bind t.obs_ctx Obs.tracing <> None
-            && rid mod t.cfg.trace_sample = 0
-          in
-          let kind = Record.kind_to_string key.Record.kind in
-          let exec_domain = w.domain and exec_t1 = w.t_done in
-          ( body,
-            Some
-              (fun write_s ->
-                finish_query t ~id:rid ~kind ~status ~t0 ~exec_domain ~exec_t0
-                  ~exec_t1 ~sampled ~phases ~write_s) )
+          send bytes;
+          close t
+            (report t ~id:rid
+               ~kind:(Record.kind_to_string key.Record.kind)
+               ~status ~t0 ~arrival ~t_awake ~t_sent:(Timer.monotonic_s ()) x)
         end))
 
 (* The GET status/headers/body of each read-only endpoint, shared by
@@ -809,25 +802,22 @@ let endpoint_get t target =
     Some (200, json_headers, Jsonx.to_string (statusz_json t) ^ "\n")
   | _ -> None
 
-let handle t w (req : Http.request) ~rid ~t0 =
-  let close =
-    match Http.header req "connection" with
-    | Some v -> String.lowercase_ascii (String.trim v) = "close"
-    | None -> false
-  in
-  let resp, post =
-    match (req.meth, req.target) with
-    | "POST", "/query" -> handle_query t w ~rid ~t0 req.body
-    | ("GET" | "HEAD"), target -> (
-      match endpoint_get t target with
+(* Answer one request through [send]; true when the client asked for
+   the connection to close. *)
+let handle t w ~send (req : Http.request) ~rid ~t0 =
+  (match (req.meth, req.target) with
+  | "POST", "/query" -> handle_query t w ~send ~rid ~t0 req.body
+  | ("GET" | "HEAD"), target ->
+    send
+      (match endpoint_get t target with
       | Some (status, headers, body) ->
-        ( Http.render_response ~headers ~head:(req.meth = "HEAD") ~status body,
-          None )
-      | None -> (error_response ~status:404 "no such endpoint", None))
-    | "POST", _ -> (error_response ~status:404 "no such endpoint", None)
-    | _ -> (error_response ~status:405 "method not allowed", None)
-  in
-  (resp, close, post)
+        Http.render_response ~headers ~head:(req.meth = "HEAD") ~status body
+      | None -> error_response ~status:404 "no such endpoint")
+  | "POST", _ -> send (error_response ~status:404 "no such endpoint")
+  | _ -> send (error_response ~status:405 "method not allowed"));
+  match Http.header req "connection" with
+  | Some v -> String.lowercase_ascii (String.trim v) = "close"
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Connection I/O                                                     *)
@@ -867,13 +857,7 @@ let conn_loop t fd =
            off := !off + used;
            Counter.incr t.c_requests;
            let rid = Atomic.fetch_and_add t.req_seq 1 in
-           let resp, close, post = handle t w req ~rid ~t0:pt0 in
-           let w0 = Timer.monotonic_s () in
-           send resp;
-           (match post with
-           | None -> ()
-           | Some finish -> finish (Timer.monotonic_s () -. w0));
-           if close then closed := true
+           if handle t w ~send req ~rid ~t0:pt0 then closed := true
          | Http.Incomplete ->
            progress := false;
            if !off > 0 then begin

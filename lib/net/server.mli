@@ -9,7 +9,7 @@
     the pool's rings — and parks until the completion callback fires.
     Systhreads carry the blocking socket I/O (a blocked read releases
     the domain lock); the domains do the query work. Each connection
-    allocates one waiter (a mutex/condvar pair plus phase stamps) when
+    allocates one waiter (a mutex/condvar pair and an outcome slot) when
     it is accepted and reuses it for every query it serves, so the
     steady-state serving path allocates no synchronization objects.
     Besides the connection threads the server runs two long-lived
@@ -70,15 +70,26 @@
     Every parsed HTTP request gets a server-global id. For served
     queries the response carries it ([id]) and the wire latency splits
     into six phases — parse, queue, dispatch, execute, deliver, write —
-    observed into labelled histograms; [total_s] in the response is the
-    sum of the first five (the write phase cannot be inside the body
-    that reports it). With [trace_sample = N] and tracing enabled,
-    every Nth request additionally emits an [http.request] span with
-    six [phase.*] children into the engine's trace sink, tagged with
-    the request id, kind, HTTP status and executing domain. [queue] is
-    the wait from arrival until the query is placed in a pool ring —
-    the wait for the pool's intake lock, e.g. behind an append's fold;
-    [dispatch] runs from placement to a domain starting execution.
+    that tile parse start to the last response byte sent with no gap.
+    [queue] is the wait from arrival until the query is placed in a
+    pool ring — the wait for the pool's intake lock, e.g. behind an
+    append's fold; [dispatch] runs from placement to a domain starting
+    execution; [write] runs from the connection thread waking with the
+    answer to the end of the send, so it covers rendering the body.
+    [total_s] in the response is the sum of the first five (the write
+    phase renders the body, so it cannot be inside it).
+
+    Once the bytes are out, the server builds one report per served
+    query — id, kind, status, executing domain, cache path,
+    generation, the six phases and their sum — and every per-request
+    sink reads it: the six labelled phase histograms, the sampled
+    trace and the slow log. With [trace_sample = N] and tracing
+    enabled, every Nth request emits an [http.request] span with six
+    [phase.*] children into the engine's trace sink; each child starts
+    where the previous one ended, the root spans their sum and carries
+    the report's identity ([request], [kind], [status], [exec_domain],
+    [cache], [gen]). A slow request's /statusz entry and its stderr
+    line are the same JSON object.
 
     {2 Load shedding}
 
@@ -101,8 +112,10 @@
     sequential client, is submission order — the case replay verifies
     digest-exactly). Each line is built by
     {!Olar_replay.Record.with_outcome}, the record builder the CLI's
-    recorder uses; queries that shed or error are not recorded and do
-    not advance the sequence.
+    recorder uses, with the cache path the executing domain's session
+    served it from (its work counts stay 0: the counter cells are
+    shared across domains); queries that shed or error are not
+    recorded and do not advance the sequence.
 
     {2 Shutdown}
 

@@ -17,6 +17,10 @@ val null : t
     so far, in emission (close) order. *)
 val memory : unit -> t * (unit -> Trace.span list)
 
+(** [value_to_json v] is a span attribute value as JSON, as
+    {!span_to_json} writes it. *)
+val value_to_json : Trace.value -> Jsonx.t
+
 (** [span_to_json s] is the JSON object written by the jsonl sinks —
     keys [id], [parent] (null for roots), [depth], [name], [start_s],
     [duration_s], [attrs]. *)

@@ -13,7 +13,7 @@ type kind =
   | Boundary
   | Append
 
-type cache_path =
+type cache_path = Olar_serve.Session.path =
   | Hit
   | Refine
   | Miss

@@ -24,7 +24,9 @@ type kind =
   | Boundary
   | Append
 
-type cache_path =
+(** How the session served a query: {!Olar_serve.Session.path},
+    re-exported so a record's cache field is the session's own value. *)
+type cache_path = Olar_serve.Session.path =
   | Hit
   | Refine
   | Miss
@@ -49,7 +51,13 @@ type t = {
   digest : Fnv.t;  (** FNV-1a over the canonical-order result *)
   result_size : int;  (** itemsets / rules returned, count value, … *)
   latency_s : float;
-  vertices : int;  (** vertex expansions attributed to this query *)
+  vertices : int;
+      (** vertex expansions attributed to this query. A serving
+          daemon's capture records 0 here and in [heap_pops]: the work
+          counter cells are shared by every pool domain, so a delta
+          taken around one request would count its neighbours' work
+          too ({!Replay.run_pool} reports only aggregate work for the
+          same reason). *)
   heap_pops : int;  (** best-first pops attributed to this query *)
   epoch : int;
       (** engine epoch the query ran against — informational only;

@@ -37,12 +37,6 @@ let count t = t.seq
 
 let value = function Some c -> Counter.value c | None -> 0
 
-let path_of = function
-  | Session.Hit -> Record.Hit
-  | Session.Refine -> Record.Refine
-  | Session.Miss -> Record.Miss
-  | Session.Passthrough -> Record.Passthrough
-
 (* An exception from the conversion or the executor propagates before
    the sequence number moves or any record is built. *)
 let run t key =
@@ -61,7 +55,7 @@ let run t key =
   if latency_s >= t.slow_s then
     Option.iter t.emit
       (Record.with_outcome key ~seq
-         ~cache:(path_of (Session.last_path t.session))
+         ~cache:(Session.last_path t.session)
          ~latency_s
          ~vertices:(value t.work_v - v0)
          ~heap_pops:(value t.work_h - h0)

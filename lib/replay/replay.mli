@@ -60,7 +60,8 @@ val run :
 (** [request_of_record] is {!Record.to_request}: the
     {!Olar_serve.Pool} request for a record's query key, or [Error] when
     the record is structurally incomplete (e.g. a find without
-    minsup). *)
+    minsup). An alias kept only for the perfbench oracle, which calls
+    it; new code calls {!Record.to_request}. *)
 val request_of_record :
   Record.t -> (Olar_serve.Pool.request, string) result
 

@@ -49,6 +49,7 @@ type completion = {
   expired : bool;
   epoch : int;
   gen : int;
+  path : Session.path;
 }
 
 let null_deliver (_ : response) (_ : completion) = ()
@@ -405,7 +406,9 @@ let finish_one t =
    completion stamps the view the request actually executed on:
    [adopted.(idx)] is written only by this slot's domain, so even if an
    append publishes mid-execution the recorded gen/epoch stay those of
-   the snapshot this execution read. *)
+   the snapshot this execution read. The cache path is read on this
+   domain right after [execute], before the slot's next request can
+   overwrite it; a shed or failed request consulted no cache. *)
 let complete t idx ~t0 ~wait_s ~deadline req deliver =
   let expired = t0 > deadline in
   let resp = if expired then shed_response else execute t idx req in
@@ -413,13 +416,18 @@ let complete t idx ~t0 ~wait_s ~deadline req deliver =
     if expired then 0.0 else Float.max 0.0 (Timer.monotonic_s () -. t0)
   in
   if not expired then note_work t idx latency_s;
+  let session = t.sessions.(idx) in
   let c =
     {
       latency_s;
       wait_s;
       expired;
-      epoch = Engine.epoch (Session.engine t.sessions.(idx));
+      epoch = Engine.epoch (Session.engine session);
       gen = Atomic.get t.adopted.(idx);
+      path =
+        (match resp with
+        | R_error _ -> Session.Passthrough
+        | _ -> Session.last_path session);
     }
   in
   try deliver resp c with e -> record_deliver_exn t e

@@ -83,7 +83,7 @@ type t
 
 (** One query, by value. With {!response} this is the request
     vocabulary of the serving stack: a {!Olar_replay.Record} key
-    converts to a request ({!Olar_replay.Replay.request_of_record}),
+    converts to a request ({!Olar_replay.Record.to_request}),
     {!exec} turns a request into a response, and the replay layer
     digests the response ({!Olar_replay.Record.digest_response}).
     [Append] folds a delta into the store (in a pool: and publishes a
@@ -154,13 +154,16 @@ val exec : Session.t -> request -> response
     append); [epoch] is the {!Olar_core.Engine.epoch} of that
     snapshot's engine — the value a capture records, taken from the
     {b executing} domain's adopted view, never from a later published
-    one. *)
+    one; [path] is how the executing slot's {!Session} served the
+    request ({!Session.last_path}, read on that domain right after
+    execution), [Passthrough] for a shed or failed request. *)
 type completion = {
   latency_s : float;
   wait_s : float;
   expired : bool;
   epoch : int;
   gen : int;
+  path : Session.path;
 }
 
 (** [create engine] spawns the pool.

@@ -823,6 +823,196 @@ let test_trace_sampling () =
         children)
     roots
 
+(* Every sink of one served query reads the same report. A 1-domain
+   server with a session cache, every request slow (slow_s = 0), traced
+   (trace_sample = 1) and captured, serves keys that repeat, so the
+   cache hits and refines. Per request, the /statusz slow entry, the
+   http.request root and its six children, the capture line and the
+   response body must agree: identity, phases, sums, latency, and a
+   cache path equal to a serial recorder's over the same keys. *)
+let test_report_sinks_agree () =
+  let module Trace = Olar_obs.Trace in
+  let keys =
+    List.concat
+      (List.init 2 (fun _ ->
+           [
+             {|{"kind":"find","minsup":0.003}|};
+             {|{"kind":"find","minsup":0.003}|};
+             {|{"kind":"find","minsup":0.005}|};
+             {|{"kind":"count","minsup":0.004}|};
+             {|{"kind":"essential_rules","minsup":0.003,"minconf":0.3}|};
+             {|{"kind":"essential_rules","minsup":0.003,"minconf":0.3}|};
+             {|{"kind":"boundary","containing":[0,1,2],"minconf":0.3}|};
+             {|{"kind":"support_for_k_itemsets","k":3}|};
+             {|{"kind":"support_for_k_itemsets","k":2}|};
+           ]))
+  in
+  let budget_bytes = 1 lsl 20 in
+  (* the serial reference: the same keys through one recorder *)
+  let expected =
+    let out = ref [] in
+    let r =
+      Olar_replay.Recorder.create
+        ~emit:(fun r -> out := r :: !out)
+        (Session.create ~budget_bytes (table2_engine ()))
+    in
+    List.iter
+      (fun k ->
+        match Record.key_of_json_line k with
+        | Ok key -> ignore (Olar_replay.Recorder.run r key)
+        | Error e -> Alcotest.failf "bad key %s: %s" k e)
+      keys;
+    List.rev_map (fun r -> r.Record.cache) !out
+  in
+  check Alcotest.bool "the keys hit and refine the cache" true
+    (List.mem Record.Hit expected && List.mem Record.Refine expected);
+  let sink, spans = Olar_obs.Sink.memory () in
+  let engine =
+    Engine.of_lattice
+      ~obs:(Olar_obs.Obs.create ~trace:sink ())
+      (Helpers.table2_lattice ())
+  in
+  let capture = Filename.temp_file "olar_report" ".jsonl" in
+  let bodies, statusz =
+    Server.with_server
+      ~config:
+        {
+          default_cfg with
+          Server.port = 0;
+          slow_s = 0.0;
+          trace_sample = 1;
+          record = Some capture;
+        }
+      ~domains:1 ~budget_bytes engine
+      (fun srv ->
+        let conn = connect (Server.port srv) in
+        let bodies =
+          List.map
+            (fun k ->
+              let r = post_query conn k in
+              check Alcotest.int ("query ok: " ^ k) 200 r.Http.status;
+              match Jsonx.of_string r.Http.resp_body with
+              | Ok j -> j
+              | Error e -> Alcotest.failf "body not JSON: %s" e)
+            keys
+        in
+        let sz = request conn ~meth:"GET" ~target:"/statusz" "" in
+        disconnect conn;
+        match Jsonx.of_string sz.Http.resp_body with
+        | Ok j -> (bodies, j)
+        | Error e -> Alcotest.failf "statusz not JSON: %s" e)
+  in
+  let captured =
+    List.map
+      (fun line ->
+        match Record.of_json_line line with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "capture line %S: %s" line e)
+      (In_channel.with_open_text capture In_channel.input_lines)
+  in
+  Sys.remove capture;
+  (* the capture records the path the executing session served *)
+  check
+    (Alcotest.list Alcotest.string)
+    "capture cache paths = serial recorder's"
+    (List.map Record.cache_path_to_string expected)
+    (List.map (fun r -> Record.cache_path_to_string r.Record.cache) captured);
+  let num path j =
+    match Option.bind (Jsonx.path path j) Jsonx.number with
+    | Some f -> f
+    | None -> Alcotest.failf "missing %s" (String.concat "/" path)
+  in
+  let str path j =
+    match Option.bind (Jsonx.path path j) Jsonx.to_str with
+    | Some s -> s
+    | None -> Alcotest.failf "missing %s" (String.concat "/" path)
+  in
+  let entries =
+    match Jsonx.(Option.bind (path [ "slow"; "entries" ] statusz) to_list) with
+    | Some l -> l
+    | None -> Alcotest.fail "statusz lacks slow entries"
+  in
+  let emitted = spans () in
+  let attr name (s : Trace.span) =
+    match List.assoc_opt name s.Trace.attrs with
+    | Some v -> v
+    | None -> Alcotest.failf "root lacks %s" name
+  in
+  let close = Alcotest.float 1e-9 in
+  check Alcotest.int "one capture line per request" (List.length keys)
+    (List.length captured);
+  List.iteri
+    (fun i (body, (cap, path)) ->
+      let id = num [ "id" ] body in
+      let entry =
+        match List.find_opt (fun e -> num [ "id" ] e = id) entries with
+        | Some e -> e
+        | None -> Alcotest.failf "request %g not in the slow ring" id
+      in
+      let root =
+        match
+          List.find_opt
+            (fun s ->
+              s.Trace.name = "http.request"
+              && attr "request" s = Trace.Int (int_of_float id))
+            emitted
+        with
+        | Some r -> r
+        | None -> Alcotest.failf "request %g has no trace root" id
+      in
+      let children =
+        List.filter (fun s -> s.Trace.parent = Some root.Trace.id) emitted
+      in
+      let what = Printf.sprintf "request %d: " i in
+      check Alcotest.int (what ^ "capture seq") i cap.Record.seq;
+      let kind = Record.kind_to_string cap.Record.kind in
+      check Alcotest.string (what ^ "ring kind") kind (str [ "kind" ] entry);
+      check Alcotest.bool (what ^ "root kind") true
+        (attr "kind" root = Trace.Str kind);
+      check (Alcotest.float 0.0) (what ^ "ring status") 200.0
+        (num [ "status" ] entry);
+      check Alcotest.bool (what ^ "root status") true
+        (attr "status" root = Trace.Int 200);
+      check Alcotest.bool (what ^ "root domain = ring domain") true
+        (attr "exec_domain" root
+        = Trace.Int (int_of_float (num [ "domain" ] entry)));
+      let cache = Record.cache_path_to_string path in
+      check Alcotest.string (what ^ "ring cache") cache (str [ "cache" ] entry);
+      check Alcotest.bool (what ^ "root cache") true
+        (attr "cache" root = Trace.Str cache);
+      (* phases: six children, tiling the root, equal to the ring's *)
+      check
+        (Alcotest.list Alcotest.string)
+        (what ^ "six children")
+        (List.map (fun n -> "phase." ^ n)
+           [ "parse"; "queue"; "dispatch"; "execute"; "deliver"; "write" ])
+        (List.map (fun s -> s.Trace.name) children);
+      let start = ref root.Trace.start_s and sum = ref 0.0 in
+      List.iter
+        (fun (c : Trace.span) ->
+          let phase =
+            String.sub c.Trace.name 6 (String.length c.Trace.name - 6)
+          in
+          check close (what ^ phase ^ " starts where the last ended") !start
+            c.Trace.start_s;
+          check close (what ^ phase ^ " ring = child")
+            (num [ "phases_ms"; phase ] entry)
+            (c.Trace.duration_s *. 1e3);
+          start := c.Trace.start_s +. c.Trace.duration_s;
+          sum := !sum +. c.Trace.duration_s)
+        children;
+      check close (what ^ "root = sum of children") !sum root.Trace.duration_s;
+      check close (what ^ "total_ms = root") (root.Trace.duration_s *. 1e3)
+        (num [ "total_ms" ] entry);
+      let write = (List.nth children 5).Trace.duration_s in
+      check close (what ^ "body total_s = first five phases")
+        (!sum -. write) (num [ "total_s" ] body);
+      check close (what ^ "capture latency = body lat_s") cap.Record.latency_s
+        (num [ "lat_s" ] body);
+      check close (what ^ "body lat_s = execute phase") (num [ "lat_s" ] body)
+        (List.nth children 3).Trace.duration_s)
+    (List.combine bodies (List.combine captured expected))
+
 (* With a (practically) zero deadline, queries are claimed past it and
    shed with 503 before any pool work is spent on them. *)
 let test_deadline_sheds_with_503 () =
@@ -863,7 +1053,7 @@ let read_keys =
   |]
 
 let pool_request key =
-  match Result.bind (Record.key_of_json_line key) Replay.request_of_record with
+  match Result.bind (Record.key_of_json_line key) Record.to_request with
   | Ok req -> req
   | Error e -> Alcotest.failf "bad key %s: %s" key e
 
@@ -1466,6 +1656,8 @@ let suites =
         case "HEAD mirrors GET without a body" test_head_requests;
         case "phase attribution and statusz" test_phase_attribution_and_statusz;
         case "trace sampling emits request trees" test_trace_sampling;
+        case "slow ring, trace, capture and body agree per request"
+          test_report_sinks_agree;
         case "readers and an appender on concurrent connections"
           test_concurrent_connections;
         case "graceful stop under load" test_graceful_stop_under_load;

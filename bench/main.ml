@@ -422,7 +422,7 @@ let ablate_cache config =
       Olar_core.Query.find_itemsets lat ~containing:Itemset.empty ~minsup
     in
     let n = ref 0 in
-    List.iter
+    Array.iter
       (fun x ->
         if Olar_core.Lattice.cardinal lat x >= 2 then begin
           let own =
@@ -603,7 +603,7 @@ let ablate_bestfirst config =
           ~containing:Olar_data.Itemset.empty
           ~minsup:(Olar_core.Lattice.threshold lat)
       in
-      ignore (List.filteri (fun i _ -> i < k) all);
+      ignore (Array.sub all 0 (min k (Array.length all)));
       let enumerate = Olar_util.Timer.Counter.value work_all in
       Printf.printf "%-8d %-18d %-18d %8.1f%%\n" k best_first enumerate
         (100.0 *. (1.0 -. (float_of_int best_first /. float_of_int enumerate))))
@@ -952,9 +952,17 @@ let micro config =
         (Staged.stage (fun () -> Olar_core.Lattice.find lat probe));
       Test.make ~name:"query.find_itemsets(broad)"
         (Staged.stage (fun () ->
-             Olar_core.Query.count_itemsets lat ~containing:Itemset.empty
+             Olar_core.Query.find_itemsets lat ~containing:Itemset.empty
                ~minsup:minsup_broad));
       Test.make ~name:"query.find_itemsets(targeted)"
+        (Staged.stage (fun () ->
+             Olar_core.Query.find_itemsets lat ~containing:probe
+               ~minsup:(Olar_core.Lattice.threshold lat)));
+      Test.make ~name:"query.count_itemsets(broad)"
+        (Staged.stage (fun () ->
+             Olar_core.Query.count_itemsets lat ~containing:Itemset.empty
+               ~minsup:minsup_broad));
+      Test.make ~name:"query.count_itemsets(targeted)"
         (Staged.stage (fun () ->
              Olar_core.Query.count_itemsets lat ~containing:probe
                ~minsup:(Olar_core.Lattice.threshold lat)));

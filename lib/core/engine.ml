@@ -253,8 +253,7 @@ let check_k = Support_query.check_k
 let itemset_ids t ~containing ~minsup =
   run t k_itemsets
     (fun t containing minsup work ->
-      Array.of_list
-        (Query.find_itemsets ?work ~scratch:t.scratch t.lattice ~containing ~minsup))
+      Query.find_itemsets ?work ~scratch:t.scratch t.lattice ~containing ~minsup)
     containing minsup
 
 let itemset_count t ~containing ~minsup =

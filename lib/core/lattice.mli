@@ -219,9 +219,13 @@ val iter_parents : t -> vertex_id -> (vertex_id -> unit) -> unit
     then smaller itemsets, then lexicographic.
 
     {b Canonical result order — a stated invariant.} Every query that
-    returns a set of vertices sorts it with this comparator (see
-    {!Query.find_itemsets}), and the comparator is a {e total} order
-    (no two distinct vertices compare equal, since ids differ). Two
+    returns a set of vertices returns it in this comparator's order,
+    and the comparator is a {e total} order (no two distinct vertices
+    compare equal, since ids differ). {!Query.find_itemsets} sorts a
+    small answer with it; from {!Query.crossover} ids on it reaches
+    the same order without comparisons, by a stable counting pass on
+    support descending over the answer's marks swept in ascending id
+    order. Two
     consequences downstream code relies on: (1) equal-support runs are
     internally ordered by ascending id, deterministically; (2) for a
     fixed start itemset the answer at a {e higher} support cut [s' >= s]

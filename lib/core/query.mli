@@ -37,11 +37,21 @@ val check_minsup : Lattice.t -> int -> unit
     {e prefix} of the result at [s]. {!Olar_serve.Session} depends on
     both properties; a qcheck test pins them.
 
+    {b Two ways to that order.} The walk marks every vertex of the
+    answer in the scratch. An answer smaller than {!crossover} is put
+    in order by a comparison sort with {!Lattice.compare_strength}. A
+    larger one is read back from the marks in ascending id order and
+    placed by one stable counting pass keyed on support descending
+    over the answer's support range [[minsup, max support]]:
+    O(num_vertices + support range) instead of O(n log n) comparisons,
+    with an identical result.
+
     When [containing] is not primary the result is empty: every superset
     has support below the primary threshold <= [minsup].
 
     @param work incremented once per vertex expanded and once per child
-      link inspected — the paper's output-sensitivity metric.
+      link inspected — the paper's output-sensitivity metric. The
+      ordering adds nothing to it.
     @param scratch reusable search state (see {!Scratch}); when omitted
       a fresh scratch is allocated for this query. *)
 val find_itemsets :
@@ -51,10 +61,17 @@ val find_itemsets :
   Lattice.t ->
   containing:Itemset.t ->
   minsup:int ->
-  Lattice.vertex_id list
+  Lattice.vertex_id array
+
+(** [crossover lattice] is the smallest answer size that
+    {!find_itemsets} orders by the counting pass rather than the
+    comparison sort: the least [n] with [8·n·floor(log2 n) >=
+    Lattice.num_vertices lattice], and at least 2. It scales with the
+    lattice, so small lattices exercise both sides. *)
+val crossover : Lattice.t -> int
 
 (** [count_itemsets lattice ~containing ~minsup] is
-    [List.length (find_itemsets ...)] without building the list — query
+    [Array.length (find_itemsets ...)] without building the array — query
     type (3) of Section 1.2. *)
 val count_itemsets :
   ?work:Olar_util.Timer.Counter.t ->
@@ -67,4 +84,4 @@ val count_itemsets :
 
 (** [to_entries lattice ids] resolves vertices to (itemset, support)
     pairs, preserving order. *)
-val to_entries : Lattice.t -> Lattice.vertex_id list -> (Itemset.t * int) list
+val to_entries : Lattice.t -> Lattice.vertex_id array -> (Itemset.t * int) list

@@ -8,20 +8,18 @@ let rule_of lattice ~target antecedent_vertex =
     ~support_count:(Lattice.support lattice target)
     ~antecedent_count:(Lattice.support lattice antecedent_vertex)
 
-(* The generating itemsets of a query: all large itemsets big enough to
-   split into a non-empty antecedent and consequent under [cs]. *)
-let generating_itemsets ?work ?scratch ?containing lattice ~minsup cs =
+(* [iter_generating f] applies [f] to the generating itemsets of a
+   query in canonical order: all large itemsets big enough to split into
+   a non-empty antecedent and consequent under [cs]. *)
+let iter_generating ?work ?scratch ?containing lattice ~minsup cs f =
   let containing = Option.value containing ~default:Itemset.empty in
   let min_cardinal = if cs.Boundary.allow_empty_antecedent then 1 else 2 in
-  List.filter
-    (fun v -> Lattice.cardinal lattice v >= min_cardinal)
+  Array.iter
+    (fun v -> if Lattice.cardinal lattice v >= min_cardinal then f v)
     (Query.find_itemsets ?work ?scratch lattice ~containing ~minsup)
 
 let essential_rules ?work ?scratch ?containing
     ?(constraints = Boundary.unconstrained) lattice ~minsup ~confidence =
-  let large =
-    generating_itemsets ?work ?scratch ?containing lattice ~minsup constraints
-  in
   let boundaries : (Lattice.vertex_id, Lattice.vertex_id list) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -37,7 +35,7 @@ let essential_rules ?work ?scratch ?containing
       b
   in
   let rules = ref [] in
-  List.iter
+  iter_generating ?work ?scratch ?containing lattice ~minsup constraints
     (fun x ->
       let own = boundary_of x in
       if own <> [] then begin
@@ -55,23 +53,18 @@ let essential_rules ?work ?scratch ?containing
             if not (Hashtbl.mem pruned y) then
               rules := rule_of lattice ~target:x y :: !rules)
           own
-      end)
-    large;
+      end);
   List.sort Rule.compare !rules
 
 let all_rules ?work ?scratch ?containing ?(constraints = Boundary.unconstrained)
     lattice ~minsup ~confidence =
-  let large =
-    generating_itemsets ?work ?scratch ?containing lattice ~minsup constraints
-  in
   let rules = ref [] in
-  List.iter
+  iter_generating ?work ?scratch ?containing lattice ~minsup constraints
     (fun x ->
       List.iter
         (fun y -> rules := rule_of lattice ~target:x y :: !rules)
         (Boundary.all_ancestor_antecedents ?work ?scratch ~constraints lattice
-           ~target:x ~confidence))
-    large;
+           ~target:x ~confidence));
   List.sort Rule.compare !rules
 
 let single_consequent_rules ?work ?scratch ?containing lattice ~minsup
@@ -79,7 +72,7 @@ let single_consequent_rules ?work ?scratch ?containing lattice ~minsup
   let containing = Option.value containing ~default:Itemset.empty in
   let large = Query.find_itemsets ?work ?scratch lattice ~containing ~minsup in
   let rules = ref [] in
-  List.iter
+  Array.iter
     (fun v ->
       List.iter
         (fun r -> rules := r :: !rules)

@@ -183,7 +183,7 @@ let test_work_scales_with_output () =
   let measure minsup =
     let work = Olar_util.Timer.Counter.create "w" in
     let out = Query.find_itemsets ~work lat ~containing:Itemset.empty ~minsup in
-    (List.length out, Olar_util.Timer.Counter.value work)
+    (Array.length out, Olar_util.Timer.Counter.value work)
   in
   let broad_out, broad_work = measure (Lattice.threshold lat) in
   let narrow_out, narrow_work = measure (max 1 (Lattice.db_size lat / 10)) in

@@ -235,6 +235,118 @@ let fold_oracle_prop =
       && update.Maintenance.vertices_bumped = List.length bumped
       && update.Maintenance.rows_resorted = List.length rows)
 
+(* ------------------------------------------------------------------ *)
+(* Canonical order: counting pass vs comparison sort *)
+
+(* Appends 0-3 random deltas, so supports (and with them the order of
+   the child rows) no longer follow what the mined lattice had. *)
+let order_gen =
+  let open QCheck2.Gen in
+  let* db = Helpers.db_gen in
+  let* threshold = int_range 1 4 in
+  let* folds = int_range 0 3 in
+  let* deltas = list_repeat folds (Helpers.delta_gen db) in
+  let* salt = int_range 0 1000 in
+  return (db, threshold, deltas, salt)
+
+let order_print (db, threshold, deltas, salt) =
+  Format.asprintf "%s@ threshold=%d@ %d deltas:@ %a@ salt=%d"
+    (Helpers.db_print db) threshold (List.length deltas)
+    (Format.pp_print_list (fun f d -> Format.pp_print_string f (Helpers.db_print d)))
+    deltas salt
+
+let folded_lattice db ~threshold deltas =
+  List.fold_left
+    (fun lat delta -> (Maintenance.append lat delta).Maintenance.lattice)
+    (lattice_of db ~threshold) deltas
+
+(* Every find on [lat] from each vertex and from one non-primary
+   itemset, at cuts from the threshold past every support to beyond
+   [db_size], both [include_start] values: the kernel's array must be
+   the reachable set sorted by [compare_strength]. Returns whether all
+   agreed and how many non-empty answers each side of the crossover
+   ordered. *)
+let check_order lat ~salt =
+  let nv = Lattice.num_vertices lat in
+  let supports = Lattice.support_array lat in
+  let top = Array.fold_left max 0 (Array.sub supports 1 (nv - 1)) in
+  let db_size = Lattice.db_size lat in
+  let threshold = Lattice.threshold lat in
+  let cuts =
+    List.filter (fun s -> s >= threshold)
+    @@ List.sort_uniq Int.compare
+      [
+        threshold;
+        threshold + 1;
+        threshold + (salt mod (max 1 (top - threshold + 1)));
+        top;
+        top + 1;
+        db_size;
+        db_size + 1;
+      ]
+  in
+  let ok = ref true and sorted = ref 0 and counted = ref 0 in
+  let one containing start =
+    List.iter
+      (fun minsup ->
+        List.iter
+          (fun include_start ->
+            let expected =
+              List.filter
+                (fun v ->
+                  supports.(v) >= minsup
+                  && Lattice.vertex_has_subset lat v containing
+                  && (v <> start
+                     || (include_start && not (Itemset.is_empty containing))))
+                (List.init nv Fun.id)
+              |> List.sort (Lattice.compare_strength lat)
+              |> Array.of_list
+            in
+            let got = Query.find_itemsets ~include_start lat ~containing ~minsup in
+            let n = Array.length got in
+            if n > 0 then
+              if n >= Query.crossover lat then incr counted else incr sorted;
+            if got <> expected then ok := false)
+          [ true; false ])
+      cuts
+  in
+  for v = 0 to nv - 1 do
+    one (Lattice.itemset lat v) v
+  done;
+  (* a start that is not primary: no answer at any cut *)
+  let absent = Itemset.of_list [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
+  if Lattice.find lat absent = None then one absent (-1);
+  (!ok, !sorted, !counted)
+
+let find_order_prop =
+  QCheck2.Test.make
+    ~name:"csr: find_itemsets = reachable set sorted by compare_strength"
+    ~count:150 ~print:order_print order_gen
+    (fun (db, threshold, deltas, salt) ->
+      let ok, _, _ = check_order (folded_lattice db ~threshold deltas) ~salt in
+      ok)
+
+(* The property above runs on small lattices; this one pins that both
+   sides of the crossover are taken, before and after folds. *)
+let test_find_order_both_sides () =
+  let rows =
+    List.init 60 (fun i ->
+        List.filter (fun item -> (i * (item + 3)) mod (item + 2) < 2) (List.init 8 Fun.id))
+  in
+  let db = Database.of_lists ~num_items:8 rows in
+  let delta =
+    Database.of_lists ~num_items:8 [ [ 5; 6; 7 ]; [ 5; 6; 7 ]; [ 6; 7 ]; [ 7 ] ]
+  in
+  List.iteri
+    (fun folds deltas ->
+      let lat = folded_lattice db ~threshold:2 deltas in
+      let ok, sorted, counted = check_order lat ~salt:folds in
+      let label = Printf.sprintf "%d folds" folds in
+      check Alcotest.bool (label ^ ": arrays equal") true ok;
+      check Alcotest.bool (label ^ ": sorted side taken") true (sorted > 0);
+      check Alcotest.bool (label ^ ": counting side taken") true (counted > 0))
+    [ []; [ delta ]; [ delta; delta; delta ] ]
+
 let test_bump_rejects () =
   let lat = Helpers.table2_lattice () in
   let a = Option.get (Lattice.find lat (set [ 0 ])) in
@@ -579,12 +691,12 @@ let test_scratch_nested_use () =
       let nested =
         Query.find_itemsets ~scratch lat ~containing:Itemset.empty ~minsup:4
       in
-      check (Alcotest.list Alcotest.int) "nested query result" expected nested);
+      check (Alcotest.array Alcotest.int) "nested query result" expected nested);
   (* the scratch is released and reusable afterwards *)
   let again =
     Query.find_itemsets ~scratch lat ~containing:Itemset.empty ~minsup:4
   in
-  check (Alcotest.list Alcotest.int) "released" expected again
+  check (Alcotest.array Alcotest.int) "released" expected again
 
 (* Epoch wraparound: a reset at [max_int] must wipe the marks and
    restart the epoch at 1 rather than wrapping to [min_int] and
@@ -600,7 +712,7 @@ let test_scratch_epoch_wrap () =
   let at_edge =
     Query.find_itemsets ~scratch lat ~containing:Itemset.empty ~minsup:4
   in
-  check (Alcotest.list Alcotest.int) "query at epoch = max_int" expected at_edge;
+  check (Alcotest.array Alcotest.int) "query at epoch = max_int" expected at_edge;
   check Alcotest.int "epoch reached max_int" max_int scratch.Scratch.epoch;
   check Alcotest.bool "marks carry the max_int stamp" true
     (Array.exists (fun m -> m = max_int) scratch.Scratch.marks);
@@ -608,7 +720,7 @@ let test_scratch_epoch_wrap () =
   let after =
     Query.find_itemsets ~scratch lat ~containing:Itemset.empty ~minsup:4
   in
-  check (Alcotest.list Alcotest.int) "query after the wrap" expected after;
+  check (Alcotest.array Alcotest.int) "query after the wrap" expected after;
   check Alcotest.int "epoch restarted at 1" 1 scratch.Scratch.epoch;
   check Alcotest.bool "no stale max_int marks survive" false
     (Array.exists (fun m -> m = max_int) scratch.Scratch.marks)
@@ -618,7 +730,7 @@ let test_scratch_wrong_lattice () =
   let lat = Helpers.table2_lattice () in
   let other = Helpers.table2_lattice () in
   let scratch = Scratch.create other in
-  check (Alcotest.list Alcotest.int) "wrong-lattice scratch is safe"
+  check (Alcotest.array Alcotest.int) "wrong-lattice scratch is safe"
     (Query.find_itemsets lat ~containing:Itemset.empty ~minsup:4)
     (Query.find_itemsets ~scratch lat ~containing:Itemset.empty ~minsup:4)
 
@@ -678,6 +790,7 @@ let suites =
         case "scratch epoch wraparound" test_scratch_epoch_wrap;
         case "scratch wrong lattice" test_scratch_wrong_lattice;
         case "bump rejects bad counts" test_bump_rejects;
+        case "find order takes both sides" test_find_order_both_sides;
       ] );
     Helpers.qsuite "core.csr.diff"
       [
@@ -688,6 +801,7 @@ let suites =
         entries_roundtrip_prop;
         csr_invariants_prop;
         fold_oracle_prop;
+        find_order_prop;
       ];
     Helpers.qsuite "core.csr.serialize"
       [

@@ -20,9 +20,10 @@ let itemsets_antitone_prop =
       let lat = Engine.lattice (Helpers.full_engine db) in
       let at s =
         Itemset.Set.of_list
-          (List.map
-             (fun v -> Lattice.itemset lat v)
-             (Query.find_itemsets lat ~containing:Itemset.empty ~minsup:s))
+          (Array.to_list
+             (Array.map
+                (fun v -> Lattice.itemset lat v)
+                (Query.find_itemsets lat ~containing:Itemset.empty ~minsup:s)))
       in
       Itemset.Set.subset (at hi) (at lo))
 
@@ -57,7 +58,7 @@ let essential_subset_prop =
       && report.Rulegen.total_rules = List.length all
       && report.Rulegen.essential_count = List.length essential
       && Query.count_itemsets lat ~containing:Itemset.empty ~minsup:2
-         = List.length (Query.find_itemsets lat ~containing:Itemset.empty ~minsup:2))
+         = Array.length (Query.find_itemsets lat ~containing:Itemset.empty ~minsup:2))
 
 (* The single-consequent rules are exactly the one-item-consequent slice
    of all rules. *)

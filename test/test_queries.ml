@@ -95,6 +95,23 @@ let test_find_itemsets_below_primary () =
     (Invalid_argument "Query: minsup must be positive") (fun () ->
       ignore (Query.find_itemsets lat ~containing:Itemset.empty ~minsup:0))
 
+(* A cut above every non-root support, or above the database size,
+   answers nothing at the root and elsewhere, with no exception: the
+   ordering must not size a buffer from a support range that is empty. *)
+let test_find_itemsets_cut_above_supports () =
+  let lat = Helpers.table2_lattice () in
+  List.iter
+    (fun (label, containing) ->
+      List.iter
+        (fun minsup ->
+          let label = Printf.sprintf "%s, minsup %d" label minsup in
+          check (Alcotest.array Alcotest.int) ("find " ^ label) [||]
+            (Query.find_itemsets lat ~containing ~minsup);
+          check Alcotest.int ("count " ^ label) 0
+            (Query.count_itemsets lat ~containing ~minsup))
+        [ 31; 1000; 1001 ])
+    [ ("root", Itemset.empty); ("C", set [ 2 ]); ("BC", set [ 1; 2 ]) ]
+
 let test_count_itemsets () =
   let lat = Helpers.table2_lattice () in
   check Alcotest.int "count = length" 8
@@ -762,6 +779,7 @@ let suites =
         case "include_start matrix" test_find_itemsets_include_start_matrix;
         case "non-primary start" test_find_itemsets_not_primary;
         case "below primary threshold" test_find_itemsets_below_primary;
+        case "cut above every support" test_find_itemsets_cut_above_supports;
         case "count" test_count_itemsets;
         case "output-sensitive work" test_find_itemsets_work_is_output_sensitive;
         QCheck_alcotest.to_alcotest find_itemsets_oracle_prop;

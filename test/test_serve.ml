@@ -64,7 +64,7 @@ let canonical_order_prop =
           && sorted rest
         | _ -> true
       in
-      sorted ids)
+      sorted (Array.to_list ids))
 
 (* The answer at minsup + raise_by is a literal prefix of the answer at
    minsup — what the cache's binary-search refinement relies on. *)
@@ -83,7 +83,7 @@ let prefix_property_prop =
         | a :: p', b :: l' -> a = b && is_prefix p' l'
         | _ :: _, [] -> false
       in
-      is_prefix high low)
+      is_prefix (Array.to_list high) (Array.to_list low))
 
 (* ------------------------------------------------------------------ *)
 (* Differential: session vs cache-less engine over random interleaves *)
@@ -190,9 +190,8 @@ let run_differential ~budget_bytes (db, threshold, ops) =
           | None -> ()
           | Some minsup ->
             let expected =
-              Array.of_list
-                (Query.find_itemsets (Engine.lattice !oracle) ~containing:x
-                   ~minsup:(Engine.count_of_support !oracle minsup))
+              Query.find_itemsets (Engine.lattice !oracle) ~containing:x
+                ~minsup:(Engine.count_of_support !oracle minsup)
             in
             if Session.itemset_ids ~containing:x session ~minsup <> expected
             then fail "ids")

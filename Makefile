@@ -1,6 +1,5 @@
-.PHONY: all build test test-quick bench-smoke bench-json bench-cache \
-	replay-smoke serve-smoke trace-smoke health-smoke bench-compare \
-	dispatch-bench stress perfbench clean
+.PHONY: all build test test-quick bench-json replay-smoke serve-smoke \
+	trace-smoke health-smoke bench-compare stress perfbench clean
 
 all: build
 
@@ -16,25 +15,12 @@ test:
 test-quick:
 	dune build @runtest-quick
 
-# One quick bench scenario (query throughput at default scale, <10s) as
-# a smoke check that the bench harness still runs.
-bench-smoke:
-	dune build @bench-smoke
-
-# Machine-readable bench output: run the qps and session experiments
-# with --json plus the dispatch microbench sweep merged into the same
-# document, validate it with bench/check_json.exe, gate it against the
-# committed baseline (bench/compare_json.exe), run the pool-vs-serial
-# digest stress, the serve -> capture -> replay loopback round trip,
-# the request-tracing smoke and the live-health smoke.
+# The bench harness's gates: the exact work-count gate against
+# BENCH_T10I4.json, the pool-vs-serial digest stress, the serve ->
+# capture -> replay loopback round trip, the request-tracing smoke and
+# the live-health smoke.
 bench-json:
-	dune build @bench-json @bench-compare @stress @serve-smoke @trace-smoke \
-		@health-smoke
-
-# Session-cache benchmark: Zipf-repeated query streams, cached vs
-# uncached (lib/serve).
-bench-cache:
-	dune build @bench-cache
+	dune build @bench-compare @stress @serve-smoke @trace-smoke @health-smoke
 
 # Capture -> replay round trip: record a 200-query canned workload and
 # replay it (uncached and cached) expecting zero digest mismatches.
@@ -59,16 +45,11 @@ trace-smoke:
 health-smoke:
 	dune build @health-smoke
 
-# Throughput gate on its own: rerun the qps and session experiments and
-# the dispatch sweep and diff them against BENCH_T10I4.json (qps and
-# session -20%, dispatch -90%; the bounds are compare_json's table).
+# Work-count gate on its own: rerun the counts experiment (vertices,
+# heap pops, cache outcomes and minor words per query on the D10K
+# lattice) and require every count to equal BENCH_T10I4.json exactly.
 bench-compare:
 	dune build @bench-compare
-
-# Dispatch-overhead microbench: null-query requests/sec at 1/2/4/8
-# domains through the continuous-dispatch pool.
-dispatch-bench:
-	dune build @dispatch-bench
 
 # Pool-vs-serial stress: the same deterministic workload executed
 # serially and through an 8-domain pool (x3), requiring bitwise-

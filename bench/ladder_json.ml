@@ -7,9 +7,8 @@
    whose last line is the run's JSON result. OUT.json keeps the
    deterministic 1-domain counts of the ladder — the ones the ladder
    itself checks for exact repeats — one point per (workload, metric),
-   plus [Sys.ocaml_version], since minor-word counts depend on the
-   compiler. compare_json gates these points exactly against the
-   committed BENCH_ladder.json ([make perfbench]).
+   as a counts document (counts.mli). compare_json gates these points
+   exactly against the committed BENCH_ladder.json ([make perfbench]).
 
    [pool.retired_after_drain] is left out: it is read at nproc domains
    right after a drain, outside the ladder's repeat check, so a worker
@@ -52,13 +51,7 @@ let points (workload, path) =
       match
         Option.bind (Jsonx.path [ "metrics"; metric; "value" ] doc) Jsonx.number
       with
-      | Some v ->
-        Jsonx.Obj
-          [
-            ("workload", Jsonx.Str workload);
-            ("metric", Jsonx.Str metric);
-            ("value", Jsonx.Float v);
-          ]
+      | Some value -> { Counts.workload; metric; value }
       | None -> fail "%s: no %s (was the run traced?)" path metric)
     counts
 
@@ -78,9 +71,5 @@ let () =
     | _ -> fail "usage: ladder_json OUT.json WORKLOAD=RUN.out ..."
   in
   let points = List.concat_map points runs in
-  (* one point per line, so a re-recorded baseline diffs line by line *)
-  Out_channel.with_open_bin out (fun oc ->
-      Printf.fprintf oc "{\"ocaml_version\":%s,\n\"counts\":[\n%s]}\n"
-        (Jsonx.to_string (Jsonx.Str Sys.ocaml_version))
-        (String.concat ",\n" (List.map Jsonx.to_string points)));
+  Counts.write out points;
   Printf.printf "ladder_json: wrote %d counts to %s\n" (List.length points) out

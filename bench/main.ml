@@ -10,18 +10,23 @@
    Numbers to compare against the paper are the *shapes*: which curve
    wins, how the threshold bottoms out, the linearity of online time in
    output size — not 1998 wall-clock values. Machine-independent work
-   counters are printed alongside times. *)
+   counters are printed alongside times.
+
+   The counts experiment reads no clock: it records exact work and
+   minor words per query for the query kernels and the session cache,
+   and --json PATH writes them as a counts document (counts.mli), the
+   form of the committed BENCH_T10I4.json that @bench-compare gates:
+
+     dune exec bench/main.exe -- --experiment counts --json bench.json *)
 
 open Olar_data
-module Jsonx = Olar_obs.Jsonx
 
 let line () = print_endline (String.make 78 '-')
 
-(* Machine-readable results (--json PATH): experiments append entries
-   here; the driver assembles and writes the document at the end. *)
+(* Exact counts (--json PATH): the counts experiment records its points
+   here; the driver writes them as one counts document at the end. *)
 let json_path : string option ref = ref None
-let json_experiments : (string * Jsonx.t) list ref = ref []
-let record_json name doc = json_experiments := (name, doc) :: !json_experiments
+let counted : Counts.point list ref = ref []
 
 let section title =
   print_newline ();
@@ -204,7 +209,6 @@ let fig10 config =
      (response time and search work scale with the output, not the prestore)";
   Printf.printf "%-14s %-9s %-7s %-9s %-11s %-10s %-12s\n" "dataset" "minsup%"
     "conf%" "rules" "time (ms)" "work" "us per rule";
-  let jpoints = ref [] in
   List.iter
     (fun ((t, i), primary, supports) ->
       let name, _ = dataset config ~t ~i in
@@ -233,17 +237,6 @@ let fig10 config =
       in
       List.iter
         (fun (s, c, n, dt, w) ->
-          jpoints :=
-            Jsonx.Obj
-              [
-                ("dataset", Jsonx.Str name);
-                ("minsup", Jsonx.Float s);
-                ("minconf", Jsonx.Float c);
-                ("rules", Jsonx.Int n);
-                ("seconds", Jsonx.Float dt);
-                ("work", Jsonx.Int w);
-              ]
-            :: !jpoints;
           Printf.printf "%-14s %-9.3f %-7.0f %-9d %-11.3f %-10d %-12.2f\n" name
             (100.0 *. s) (100.0 *. c) n (1000.0 *. dt) w
             (if n = 0 then 0.0 else 1e6 *. dt /. float_of_int n))
@@ -251,8 +244,7 @@ let fig10 config =
     [
       ((10, 4), 0.002, [ 0.006; 0.005; 0.004; 0.003; 0.0025; 0.002 ]);
       ((20, 6), 0.005, [ 0.014; 0.012; 0.01; 0.008; 0.007; 0.006 ]);
-    ];
-  record_json "fig10" (Jsonx.Obj [ ("points", Jsonx.Arr (List.rev !jpoints)) ])
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: direct DHP-from-scratch vs online response time. *)
@@ -651,13 +643,20 @@ let ablate_counting config =
     trie_s tree_s
 
 (* ------------------------------------------------------------------ *)
-(* Query throughput: FindItemsets queries/second over a T10.I4-style
-   dataset. The scenario that motivates the CSR lattice layout: a long
-   interactive session hammering the same preprocessed lattice with
-   point and scan queries. Run it before and after a layout change and
-   compare the qps columns. *)
+(* Exact work counts. The paper's online claim is about work: a query
+   visits vertices in proportion to its output, whatever the machine.
+   On one preprocessed D10K lattice this records that work, and the
+   minor words each query allocates, for the CSR query kernels and for
+   Zipf-repeated query streams through the session cache. Fixed query
+   counts, no clocks: every number repeats exactly across processes
+   built by one compiler, so @bench-compare gates them exactly against
+   BENCH_T10I4.json. *)
 
-let qps_scenarios e lat =
+let kernel_queries = 256
+let cached_queries = 1024
+let uncached_queries = 64
+
+let kernel_scenarios e lat =
   (* one shared scratch: the steady state of a long-lived session *)
   let scratch = Olar_core.Scratch.create lat in
   (* primary singletons, reused round-robin for the targeted mix *)
@@ -671,10 +670,6 @@ let qps_scenarios e lat =
       (Olar_util.Vec.get singles (k mod Olar_util.Vec.length singles))
   in
   let minsup_of pct = Olar_core.Engine.count_of_support e (pct /. 100.0) in
-  (* Each scenario takes an optional work counter: omitted in the
-     throughput loop (the None fast path, identical to a bare call),
-     supplied in the latency pass so the JSON report carries
-     machine-independent work next to the quantiles. *)
   [
     ( "count broad 0.5%",
       fun ?work k ->
@@ -701,112 +696,12 @@ let qps_scenarios e lat =
              ~containing:(single k) ~k:100) );
   ]
 
-let qps config =
-  section
-    "Throughput: online queries/second on one preprocessed lattice\n\
-     (the hot loop of an interactive mining session; higher is better)";
-  let e = engine config ~t:10 ~i:4 ~primary:0.002 in
-  let lat = Olar_core.Engine.lattice e in
-  Printf.printf "lattice: %d vertices, %d edges, ~%d KiB\n"
-    (Olar_core.Lattice.num_vertices lat)
-    (Olar_core.Lattice.num_edges lat)
-    (Olar_core.Lattice.estimated_bytes lat / 1024);
-  Printf.printf "%-20s %-12s %-12s %-14s\n" "scenario" "queries" "seconds" "qps";
-  let jscenarios = ref [] in
-  List.iter
-    (fun (name, (run : ?work:Olar_util.Timer.Counter.t -> int -> unit)) ->
-      (* warm up, then measure for a fixed wall budget *)
-      for k = 0 to 9 do
-        run k
-      done;
-      let budget = 1.0 in
-      let timer = Olar_util.Timer.start () in
-      let queries = ref 0 in
-      while Olar_util.Timer.elapsed_s timer < budget do
-        (* batch between clock reads to keep clock overhead negligible *)
-        for k = 0 to 19 do
-          run (!queries + k)
-        done;
-        queries := !queries + 20
-      done;
-      let dt = Olar_util.Timer.elapsed_s timer in
-      Printf.printf "%-20s %-12d %-12.3f %-14.0f\n" name !queries dt
-        (float_of_int !queries /. dt);
-      (* Separate latency pass: per-query timing into a log-scale
-         histogram, with the work counter attached. Kept out of the
-         throughput loop above so the clock reads there stay batched. *)
-      let hist = Olar_obs.Metrics.Histogram.create "latency" in
-      let work = Olar_util.Timer.Counter.create "work" in
-      let lat_budget = 0.3 in
-      let ltimer = Olar_util.Timer.start () in
-      let samples = ref 0 in
-      while Olar_util.Timer.elapsed_s ltimer < lat_budget do
-        let t0 = Olar_util.Timer.start () in
-        run ~work !samples;
-        Olar_obs.Metrics.Histogram.observe hist (Olar_util.Timer.elapsed_s t0);
-        incr samples
-      done;
-      let q p = 1e6 *. Olar_obs.Metrics.Histogram.quantile hist p in
-      jscenarios :=
-        Jsonx.Obj
-          [
-            ("name", Jsonx.Str name);
-            ("queries", Jsonx.Int !queries);
-            ("seconds", Jsonx.Float dt);
-            ("qps", Jsonx.Float (float_of_int !queries /. dt));
-            ( "latency",
-              Jsonx.Obj
-                [
-                  ("samples", Jsonx.Int (Olar_obs.Metrics.Histogram.count hist));
-                  ( "mean_us",
-                    Jsonx.Float (1e6 *. Olar_obs.Metrics.Histogram.mean hist) );
-                  ("p50_us", Jsonx.Float (q 0.5));
-                  ("p90_us", Jsonx.Float (q 0.9));
-                  ("p99_us", Jsonx.Float (q 0.99));
-                ] );
-            ( "work",
-              Jsonx.Obj
-                [
-                  ("total", Jsonx.Int (Olar_util.Timer.Counter.value work));
-                  ( "per_query",
-                    Jsonx.Float
-                      (float_of_int (Olar_util.Timer.Counter.value work)
-                      /. float_of_int (max 1 !samples)) );
-                ] );
-          ]
-        :: !jscenarios)
-    (qps_scenarios e lat);
-  record_json "qps"
-    (Jsonx.Obj
-       [
-         ( "lattice",
-           Jsonx.Obj
-             [
-               ("vertices", Jsonx.Int (Olar_core.Lattice.num_vertices lat));
-               ("edges", Jsonx.Int (Olar_core.Lattice.num_edges lat));
-               ("bytes", Jsonx.Int (Olar_core.Lattice.estimated_bytes lat));
-             ] );
-         ("scenarios", Jsonx.Arr (List.rev !jscenarios));
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Session cache: Zipf-repeated interactive query streams, cached vs
-   uncached. An analyst re-issues a handful of favourite (minsup,
-   minconf) settings with a skewed repeat distribution; the session
-   cache (lib/serve) answers repeats from cached canonical-order
-   prefixes instead of re-walking the lattice. Both sides run through
-   Olar_serve.Session — budget 0 is the contract-identical
-   passthrough — so the comparison isolates the cache itself. *)
-
-let session_bench config =
-  section
-    "Session cache: Zipf-repeated query streams, cached vs uncached\n\
-     (lib/serve; repeats served by prefix refinement, not re-traversal)";
-  let e = engine config ~t:10 ~i:4 ~primary:0.002 in
-  (* Fixed pre-drawn streams so the cached and uncached runs replay the
-     identical query sequence. Setting rank r is drawn with Zipf weight
-     1/(r+1): a few favourites dominate, the tail recurs rarely. *)
-  let stream_len = 4096 in
+(* An analyst re-issues a handful of favourite (minsup, minconf)
+   settings with a skewed repeat distribution: setting rank r is drawn
+   with Zipf weight 1/(r+1), so a few favourites dominate and the tail
+   recurs rarely. The streams are drawn once, so every budget replays
+   the identical sequence. *)
+let zipf_streams config =
   let zipf_stream st settings =
     let n = Array.length settings in
     let cum = Array.make n 0.0 in
@@ -815,7 +710,7 @@ let session_bench config =
       total := !total +. (1.0 /. float_of_int (r + 1));
       cum.(r) <- !total
     done;
-    Array.init stream_len (fun _ ->
+    Array.init cached_queries (fun _ ->
         let u = Random.State.float st !total in
         let rec pick r =
           if r = n - 1 || u <= cum.(r) then settings.(r) else pick (r + 1)
@@ -833,81 +728,97 @@ let session_bench config =
             (fun s -> List.map (fun c -> (s, c)) [ 0.9; 0.7; 0.5 ])
             [ 0.0075; 0.005; 0.01 ]))
   in
-  let scenarios =
-    [
-      ( "find broad",
-        fun session k ->
-          let minsup = find_stream.(k land (stream_len - 1)) in
-          ignore (Olar_serve.Session.itemset_ids session ~minsup) );
-      ( "rules",
-        fun session k ->
-          let minsup, minconf = rule_stream.(k land (stream_len - 1)) in
-          ignore (Olar_serve.Session.essential_rules session ~minsup ~minconf)
-      );
-    ]
+  [
+    ( "find broad",
+      fun session k ->
+        ignore (Olar_serve.Session.itemset_ids session ~minsup:find_stream.(k))
+    );
+    ( "rules",
+      fun session k ->
+        let minsup, minconf = rule_stream.(k) in
+        ignore (Olar_serve.Session.essential_rules session ~minsup ~minconf) );
+  ]
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let counts config =
+  section
+    "Exact work counts per query: kernels and session-cache streams\n\
+     (machine-independent; gated exactly by @bench-compare)";
+  let e = engine config ~t:10 ~i:4 ~primary:0.002 in
+  let lat = Olar_core.Engine.lattice e in
+  let record workload metric value =
+    Printf.printf "%-28s %-22s %.12g\n" workload metric value;
+    counted := { Counts.workload; metric; value } :: !counted
   in
-  (* Same measurement discipline as the qps experiment: warm up, then a
-     fixed wall budget with clock reads batched every 20 queries. *)
-  let measure session run =
-    for k = 0 to 9 do
-      run session k
-    done;
-    let budget = 1.0 in
-    let timer = Olar_util.Timer.start () in
-    let queries = ref 0 in
-    while Olar_util.Timer.elapsed_s timer < budget do
-      for k = 0 to 19 do
-        run session (!queries + k)
+  let size f = float_of_int (f lat) in
+  record "lattice" "vertices" (size Olar_core.Lattice.num_vertices);
+  record "lattice" "edges" (size Olar_core.Lattice.num_edges);
+  record "lattice" "bytes" (size Olar_core.Lattice.estimated_bytes);
+  let per n x = x /. float_of_int n in
+  List.iter
+    (fun (name, (run : ?work:Olar_util.Timer.Counter.t -> int -> unit)) ->
+      for k = 0 to 9 do
+        run k
       done;
-      queries := !queries + 20
-    done;
-    let dt = Olar_util.Timer.elapsed_s timer in
-    (!queries, dt, float_of_int !queries /. dt)
-  in
-  Printf.printf "%-12s %-14s %-14s %-10s %-24s\n" "scenario" "uncached qps"
-    "cached qps" "speedup" "cache hit/refine/miss";
-  let jscenarios = ref [] in
+      let work = Olar_util.Timer.Counter.create "work" in
+      let words =
+        minor_words (fun () ->
+            for k = 0 to kernel_queries - 1 do
+              run ~work k
+            done)
+      in
+      let workload = "kernel/" ^ name in
+      record workload "work_per_query"
+        (per kernel_queries
+           (float_of_int (Olar_util.Timer.Counter.value work)));
+      record workload "minor_words_per_query" (per kernel_queries words))
+    (kernel_scenarios e lat);
   List.iter
     (fun (name, run) ->
-      let uncached = Olar_serve.Session.create ~budget_bytes:0 e in
-      let ((_, _, uq) as u) = measure uncached run in
-      let cached =
-        Olar_serve.Session.create ~budget_bytes:(32 * 1024 * 1024) e
-      in
-      let ((_, _, cq) as c) = measure cached run in
-      let s = Olar_serve.Session.stats cached in
-      let open Olar_serve.Session in
-      Printf.printf "%-12s %-14.0f %-14.0f %8.1fx  %d/%d/%d\n" name uq cq
-        (cq /. uq) s.hits s.refines s.misses;
-      let side (queries, seconds, qps) =
-        Jsonx.Obj
-          [
-            ("queries", Jsonx.Int queries);
-            ("seconds", Jsonx.Float seconds);
-            ("qps", Jsonx.Float qps);
-          ]
-      in
-      jscenarios :=
-        Jsonx.Obj
-          [
-            ("name", Jsonx.Str name);
-            ("uncached", side u);
-            ("cached", side c);
-            ("speedup", Jsonx.Float (cq /. uq));
-            ( "cache",
-              Jsonx.Obj
-                [
-                  ("hits", Jsonx.Int s.hits);
-                  ("misses", Jsonx.Int s.misses);
-                  ("refines", Jsonx.Int s.refines);
-                  ("evictions", Jsonx.Int s.evictions);
-                  ("resident_bytes", Jsonx.Int s.resident_bytes);
-                ] );
-          ]
-        :: !jscenarios)
-    scenarios;
-  record_json "session"
-    (Jsonx.Obj [ ("scenarios", Jsonx.Arr (List.rev !jscenarios)) ])
+      List.iter
+        (fun (budget_mib, queries) ->
+          (* a fresh obs context per run: its counters hold this run's
+             vertex and heap-pop work alone *)
+          let obs = Olar_obs.Obs.create () in
+          let ctx = Option.get obs in
+          let session =
+            Olar_serve.Session.create
+              ~budget_bytes:(budget_mib * 1024 * 1024)
+              (Olar_core.Engine.with_obs e obs)
+          in
+          let words =
+            minor_words (fun () ->
+                for k = 0 to queries - 1 do
+                  run session k
+                done)
+          in
+          let s = Olar_serve.Session.stats session in
+          let cell name =
+            float_of_int
+              (Olar_util.Timer.Counter.value (Olar_obs.Obs.counter ctx name))
+          in
+          let workload = Printf.sprintf "session/%s/b%d" name budget_mib in
+          let open Olar_serve.Session in
+          List.iter
+            (fun (metric, value) -> record workload metric value)
+            [
+              ("hits", float_of_int s.hits);
+              ("refines", float_of_int s.refines);
+              ("misses", float_of_int s.misses);
+              ("evictions", float_of_int s.evictions);
+              ("resident_bytes", float_of_int s.resident_bytes);
+              ("minor_words_per_query", per queries words);
+              ( "vertices_per_query",
+                per queries (cell "olar_query_vertices_visited_total") );
+              ( "heap_pops_per_query",
+                per queries (cell "olar_query_heap_pops_total") );
+            ])
+        [ (0, uncached_queries); (32, cached_queries) ])
+    (zipf_streams config)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the core operations. *)
@@ -1004,8 +915,8 @@ let micro config =
 let all_experiments =
   [
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("table3", table3);
-    ("fig11", fig11); ("fig12", fig12); ("scaling", scaling); ("qps", qps);
-    ("session", session_bench); ("miners", miners);
+    ("fig11", fig11); ("fig12", fig12); ("scaling", scaling); ("counts", counts);
+    ("miners", miners);
     ("ablate-sort", ablate_sort);
     ("ablate-cache", ablate_cache); ("ablate-miner", ablate_miner);
     ("ablate-counting", ablate_counting); ("ablate-bestfirst", ablate_bestfirst);
@@ -1078,19 +989,5 @@ let () =
   match !json_path with
   | None -> ()
   | Some path ->
-    let doc =
-      Jsonx.Obj
-        [
-          ("schema_version", Jsonx.Int 1);
-          ("scale", Jsonx.Str (if config.full then "full" else "default"));
-          ("transactions", Jsonx.Int config.transactions);
-          ("num_items", Jsonx.Int config.num_items);
-          ("seed", Jsonx.Int config.seed);
-          ("experiments", Jsonx.Obj (List.rev !json_experiments));
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (Jsonx.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "[json] wrote %s\n" path
+    Counts.write path (List.rev !counted);
+    Printf.printf "[json] wrote %d counts to %s\n" (List.length !counted) path

@@ -165,7 +165,7 @@ let serial_execute session (req : Pool.request) : Pool.response =
 let digests_of_run ?engine db reqs ~domains ~budget_bytes =
   let engine = match engine with Some e -> e | None -> build_engine db in
   Pool.with_pool ~domains ~budget_bytes engine (fun pool ->
-      digest_responses (Pool.run pool reqs))
+      digest_responses (Array.map fst (Pool.run pool reqs)))
 
 (* Stream pass: requests go through raw [Pool.submit] with no
    intervening drain, so appends publish snapshots under live read

@@ -98,7 +98,7 @@ let run ?(on_outcome = fun _ -> ()) session records =
 let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
   (* Convert every record up front; a structurally incomplete record is
      an error outcome without executing anything. The valid requests
-     go through {!Pool.run_timed}: {!Pool.submit} — the same continuous
+     go through {!Pool.run}: {!Pool.submit} — the same continuous
      path the server's connection threads use — draining before each
      append. Pool appends publish without quiescing, and a capture's
      digests are only meaningful if every query replays on the same
@@ -115,7 +115,7 @@ let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
   let h_cell = counter "olar_query_heap_pops_total" in
   let value = function Some c -> Counter.value c | None -> 0 in
   let v0 = value v_cell and h0 = value h_cell in
-  let out = Pool.run_timed pool reqs in
+  let out = Pool.run pool reqs in
   let idx = ref 0 in
   let report =
     List.fold_left
@@ -124,9 +124,9 @@ let run_pool ?(on_response = fun _ _ ~ok:_ -> ()) pool records =
           match q with
           | Error e -> (Pool.R_error e, 0.0)
           | Ok _ ->
-            let x = out.(!idx) in
+            let resp, (c : Pool.completion) = out.(!idx) in
             incr idx;
-            x
+            (resp, c.latency_s)
         in
         let digest = Record.digest_response resp in
         let ok = digest_ok r digest in

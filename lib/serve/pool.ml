@@ -698,17 +698,15 @@ let with_pool ?domains ?budget_bytes engine f =
    serial [Session] does, so positional digest equality against serial
    execution still holds. Streaming callers that want appends to
    overlap reads use {!submit} directly. *)
-let run_timed t reqs =
+let run t reqs =
   if t.closed then invalid_arg "Pool.run: pool is shut down";
-  let out = Array.make (Array.length reqs) (R_error "not executed", 0.0) in
+  let out = Array.make (Array.length reqs) None in
   Array.iteri
     (fun i req ->
       (match req with Append _ -> drain t | _ -> ());
-      submit t req (fun resp c -> out.(i) <- (resp, c.latency_s)))
+      submit t req (fun resp c -> out.(i) <- Some (resp, c)))
     reqs;
   (* every completion's inflight decrement happened-before the drain's
      zero read, so the [out] writes are visible here *)
   drain t;
-  out
-
-let run t reqs = Array.map fst (run_timed t reqs)
+  Array.map Option.get out

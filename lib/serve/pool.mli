@@ -67,7 +67,7 @@
     (the claim's stamp read pairs with the publish). Each completion
     records the generation and engine epoch its request actually
     executed on, which is what the differential tests check digests
-    against. The batch helpers ({!run}, {!run_timed}) additionally drain
+    against. The batch helper {!run} additionally drains
     before each [Append], preserving the old sequential semantics —
     positional digest equality with a serial {!Session} — for batch
     callers and capture replay.
@@ -225,22 +225,18 @@ val submit :
     pool is quiet. *)
 val drain : t -> unit
 
-(** {1 Batch helpers}
+(** {1 Batch helper} *)
 
-    Thin layers over {!submit} + {!drain}. Unlike raw {!submit}, they
-    drain before each [Append] in the batch, so a batch keeps the
-    sequential semantics of a serial {!Session}: responses are
-    positionally digest-equal to serial execution of the same array. *)
-
-(** [run t reqs] submits the batch and returns responses in submission
-    order: [(run t reqs).(i)] answers [reqs.(i)]. Raises
-    [Invalid_argument] after {!shutdown}. *)
-val run : t -> request array -> response array
-
-(** [run_timed t reqs] is {!run} with each response paired with its
-    service latency in seconds (monotonic clock, shard wait excluded —
-    the time from a domain claiming the request to its completion). *)
-val run_timed : t -> request array -> (response * float) array
+(** [run t reqs] submits the batch and returns each response with its
+    {!completion} in submission order: [(run t reqs).(i)] answers
+    [reqs.(i)]. A thin layer over {!submit} + {!drain}; unlike raw
+    {!submit}, it drains before each [Append] in the batch, so a batch
+    keeps the sequential semantics of a serial {!Session}: responses
+    are positionally digest-equal to serial execution of the same
+    array, and the completion at [i] has [gen] equal to the number of
+    successful [Append]s in [reqs.(0..i)]. Raises [Invalid_argument] after
+    {!shutdown}. *)
+val run : t -> request array -> (response * completion) array
 
 (** {1 Introspection} *)
 

@@ -1,8 +1,8 @@
-(* The perf gate (bench/compare_json.exe) on small fixture documents:
-   exact ladder counts, missing series, the qps floor and the compiler
-   version check; plus bench/ladder_json.exe, which assembles the
-   ladder document from traced perfbench runs. Skipped when the bench
-   binaries or the committed baseline are not beside the test runner. *)
+(* The exact-count gate (bench/compare_json.exe) on small fixture
+   documents and on both committed baselines: drifts, missing series
+   and the compiler version check; plus bench/ladder_json.exe, which
+   assembles the ladder document from traced perfbench runs. Skipped
+   when the bench binaries or baselines are not beside the runner. *)
 
 let beside_runner rel =
   let path = Filename.concat (Filename.dirname Sys.executable_name) rel in
@@ -15,14 +15,14 @@ let write dir name text =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   path
 
-let ladder ?(version = Sys.ocaml_version) counts =
+let counts ?(version = Sys.ocaml_version) rows =
   Printf.sprintf "{\"ocaml_version\":%S,\"counts\":[%s]}" version
     (String.concat ","
        (List.map
           (fun (w, m, v) ->
             Printf.sprintf "{\"workload\":%S,\"metric\":%S,\"value\":%.17g}" w m
               v)
-          counts))
+          rows))
 
 let baseline =
   [
@@ -49,68 +49,56 @@ let expect name code needles (got, lines) =
     needles
 
 let test_identical () =
-  let doc = ladder baseline in
+  let doc = counts baseline in
   expect "identical ladder" 0 [ "OK: 3 series" ] (compare doc doc)
 
+(* A one-unit move in a ladder row or a BENCH_T10I4.json row fails,
+   naming its workload (or scenario) and metric. *)
 let test_one_unit_drift () =
-  let drifted =
-    List.map
-      (fun (w, m, v) ->
-        if m = "kernel.vertices_per_req" then (w, m, v +. 1.0) else (w, m, v))
-      baseline
-  in
-  expect "one-unit drift" 1
-    [ "REGRESSION ladder/analyst/kernel.vertices_per_req: 1216.1787109375 -> \
-       1217.1787109375" ]
-    (compare (ladder baseline) (ladder drifted))
+  List.iter
+    (fun ((w, m, v), needle) ->
+      let doc v = counts ((w, m, v) :: List.tl baseline) in
+      expect needle 1 [ needle ] (compare (doc v) (doc (v +. 1.0))))
+    [
+      ( List.hd baseline,
+        "REGRESSION analyst/kernel.vertices_per_req: 1216.1787109375 -> \
+         1217.1787109375" );
+      ( ("kernel/find targeted", "work_per_query", 594.60546875),
+        "REGRESSION kernel/find targeted/work_per_query: 594.60546875 -> \
+         595.60546875" );
+    ]
 
 let test_missing () =
-  let without p = ladder (List.filter (fun c -> not (p c)) baseline) in
+  let without p = counts (List.filter (fun c -> not (p c)) baseline) in
   expect "workload missing" 1
-    [ "REGRESSION ladder/scan/kernel.heap_pops_per_req: missing" ]
-    (compare (ladder baseline) (without (fun (w, _, _) -> w = "scan")));
+    [ "REGRESSION scan/kernel.heap_pops_per_req: missing" ]
+    (compare (counts baseline) (without (fun (w, _, _) -> w = "scan")));
   expect "metric missing" 1
-    [ "REGRESSION ladder/analyst/session.served_frac: missing" ]
-    (compare (ladder baseline)
+    [ "REGRESSION analyst/session.served_frac: missing" ]
+    (compare (counts baseline)
        (without (fun (_, m, _) -> m = "session.served_frac")))
-
-let test_qps_floor () =
-  let doc qps =
-    Printf.sprintf
-      "{\"experiments\":{\"qps\":{\"scenarios\":[{\"name\":\"find \
-       targeted\",\"qps\":%g}]}}}"
-      qps
-  in
-  expect "just over the -20% floor" 0 [ "OK: 1 series" ]
-    (compare (doc 1000.0) (doc 800.5));
-  expect "just under the -20% floor" 1
-    [ "REGRESSION qps/find targeted: 1000 -> 799.5" ]
-    (compare (doc 1000.0) (doc 799.5))
 
 let test_version_mismatch () =
   let ((_, lines) as result) =
     compare
-      (ladder ~version:"4.14.0" baseline)
-      (ladder (List.map (fun (w, m, v) -> (w, m, v +. 1.0)) baseline))
+      (counts ~version:"4.14.0" baseline)
+      (counts (List.map (fun (w, m, v) -> (w, m, v +. 1.0)) baseline))
   in
   expect "version mismatch" 1 [ "re-record the baseline" ] result;
   if Test_cli.contains lines "REGRESSION" then
     Alcotest.fail "a version mismatch must not list drifts"
 
-(* The committed baseline parses, records its compiler and holds the 14
-   counts of all three workloads. *)
-let test_committed_baseline () =
+(* A committed baseline parses, records its compiler and passes against
+   itself with all its [rows]. *)
+let test_committed_baseline name rows () =
   let text =
-    In_channel.with_open_bin
-      (beside_runner "../BENCH_ladder.json")
-      In_channel.input_all
+    In_channel.with_open_bin (beside_runner ("../" ^ name)) In_channel.input_all
   in
   (match Olar_obs.Jsonx.of_string text with
-  | Ok doc ->
-    if Olar_obs.Jsonx.member "ocaml_version" doc = None then
-      Alcotest.fail "BENCH_ladder.json records no ocaml_version"
-  | Error e -> Alcotest.failf "BENCH_ladder.json: %s" e);
-  expect "baseline against itself" 0 [ "OK: 42 series" ] (compare text text)
+  | Ok doc when Olar_obs.Jsonx.member "ocaml_version" doc <> None -> ()
+  | _ -> Alcotest.failf "%s does not parse or records no ocaml_version" name);
+  expect (name ^ " against itself") 0
+    [ Printf.sprintf "OK: %d series" rows ] (compare text text)
 
 let test_ladder_json () =
   Test_cli.in_temp_dir (fun dir ->
@@ -161,9 +149,11 @@ let suites =
         case "identical documents pass" test_identical;
         case "one-unit ladder drift fails" test_one_unit_drift;
         case "missing workload or metric fails" test_missing;
-        case "qps floor" test_qps_floor;
         case "ocaml version mismatch asks for a re-record" test_version_mismatch;
-        case "committed ladder baseline" test_committed_baseline;
+        case "committed ladder baseline"
+          (test_committed_baseline "BENCH_ladder.json" 42);
+        case "committed t10i4 baseline"
+          (test_committed_baseline "BENCH_T10I4.json" 43);
         case "ladder_json assembles traced runs" test_ladder_json;
       ] );
   ]

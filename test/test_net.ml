@@ -1071,7 +1071,7 @@ let serial_digests appends =
   in
   let out =
     Olar_serve.Pool.with_pool ~domains:1 (table2_engine ()) (fun pool ->
-        Olar_serve.Pool.run pool batch)
+        Array.map fst (Olar_serve.Pool.run pool batch))
   in
   Array.init (appends + 1) (fun g ->
       Array.init per_gen (fun k ->

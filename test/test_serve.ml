@@ -516,7 +516,7 @@ let test_recorder_matches_reference () =
 
 (* The same workload — queries with barriered appends — executed
    serially and through a 4-domain pool must produce bitwise-identical
-   FNV digests at every position. *)
+   FNV digests at every position, each run at gen = appends so far. *)
 let run_pool_differential ~budget_bytes (db, threshold, reqs) =
   let reqs = Array.of_list reqs in
   let lat = lattice_of db ~threshold in
@@ -524,11 +524,19 @@ let run_pool_differential ~budget_bytes (db, threshold, reqs) =
   let expected =
     Array.map (fun r -> digest_of_response (serial_execute serial r)) reqs
   in
-  let actual =
+  let out =
     Pool.with_pool ~domains:4 ~budget_bytes (Engine.of_lattice lat)
-      (fun pool -> Array.map digest_of_response (Pool.run pool reqs))
+      (fun pool -> Pool.run pool reqs)
   in
-  expected = actual
+  let published = ref 0 in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun i (resp, (c : Pool.completion)) ->
+         (match (reqs.(i), resp) with
+         | Pool.Append _, Pool.R_promoted _ -> incr published
+         | _ -> ());
+         expected.(i) = digest_of_response resp && c.gen = !published)
+       out)
 
 let pool_differential_prop =
   QCheck2.Test.make
@@ -747,7 +755,7 @@ let test_pool_traced_spans () =
      engine's query span and leaves a span *)
   let out =
     Pool.with_pool ~domains:3 ~budget_bytes:0 traced (fun pool ->
-        Pool.run pool reqs)
+        Array.map fst (Pool.run pool reqs))
   in
   check Alcotest.int "all requests answered" 8 (Array.length out);
   (match out.(0) with
@@ -789,7 +797,7 @@ let test_pool_shutdown_idempotent () =
       |]
   in
   (match out.(0) with
-  | Pool.R_count 9 -> ()
+  | Pool.R_count 9, _ -> ()
   | _ -> Alcotest.fail "expected R_count 9");
   Pool.shutdown pool;
   Pool.shutdown pool;
@@ -826,7 +834,8 @@ let check_submission_order out =
 let test_pool_submission_order () =
   let engine = Engine.of_lattice (Helpers.table2_lattice ()) in
   Pool.with_pool ~domains:4 engine (fun pool ->
-      check_submission_order (Pool.run pool (count_requests ())))
+      check_submission_order
+        (Array.map fst (Pool.run pool (count_requests ()))))
 
 (* [submit] fires each callback exactly once with that request's
    response — possibly out of submission order, on any domain, which is
@@ -919,7 +928,7 @@ let test_pool_append_shares_buffers () =
       let before = Engine.lattice (Pool.engine pool) in
       let delta = Database.of_lists ~num_items:4 [ [ 0; 1; 2 ]; [ 1; 3 ] ] in
       (match Pool.run pool [| Pool.Append delta |] with
-      | [| Pool.R_promoted _ |] -> ()
+      | [| (Pool.R_promoted _, _) |] -> ()
       | _ -> Alcotest.fail "append must promote");
       check Alcotest.int "published" 1 (Pool.generation pool);
       let after = Engine.lattice (Pool.engine pool) in

@@ -818,7 +818,28 @@ let counts config =
                 per queries (cell "olar_query_heap_pops_total") );
             ])
         [ (0, uncached_queries); (32, cached_queries) ])
-    (zipf_streams config)
+    (zipf_streams config);
+  (* The miners' logical work on the lattice's database and threshold:
+     a kernel change that alters what DHP or Apriori counts, prunes or
+     trims fails the gate by name. *)
+  let _, db = dataset config ~t:10 ~i:4 in
+  let minsup = Database.count_of_fraction db 0.002 in
+  List.iter
+    (fun (name, mine) ->
+      let stats = Olar_mining.Stats.create () in
+      ignore (mine ~stats ~minsup db);
+      List.iter
+        (fun cell ->
+          record ("mining/" ^ name)
+            (Olar_util.Timer.Counter.name cell)
+            (float_of_int (Olar_util.Timer.Counter.value cell)))
+        Olar_mining.Stats.
+          [ stats.passes; stats.candidates; stats.frequent; stats.hash_pruned;
+            stats.trimmed_items ])
+    [
+      ("dhp", fun ~stats ~minsup db -> Olar_mining.Dhp.mine ~stats db ~minsup);
+      ("apriori", fun ~stats ~minsup db -> Olar_mining.Apriori.mine ~stats db ~minsup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the core operations. *)

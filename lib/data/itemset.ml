@@ -59,6 +59,7 @@ let max_item x = if is_empty x then invalid_arg "Itemset.max_item" else x.(Array
 
 let to_list = Array.to_list
 let to_array = Array.copy
+let as_array x = x
 let iter = Array.iter
 let fold f x acc = Array.fold_left (fun acc i -> f i acc) acc x
 

@@ -58,6 +58,12 @@ val to_list : t -> Item.t list
 (** [to_array x] is a fresh array of the items in increasing order. *)
 val to_array : t -> Item.t array
 
+(** [as_array x] is the items in increasing order as the representation
+    array itself, not a copy: O(1). The caller must never mutate it.
+    Used by the mining kernels (trimming, candidate counting), which read
+    every transaction of every pass and must not copy them. *)
+val as_array : t -> Item.t array
+
 (** [iter f x] applies [f] to each item in increasing order. *)
 val iter : (Item.t -> unit) -> t -> unit
 

@@ -46,12 +46,25 @@ type config = {
           structure and the per-candidate counts are summed. *)
 }
 
+(** [count config ~k txns candidates] is pass [k]'s counting step on
+    its own, with no hash table: the (candidate, count) pairs of the
+    lex-sorted, duplicate-free [k]-itemsets [candidates] over [txns], in
+    candidate order. It counts with [config.counting] (under [Use_trie],
+    level 2 uses a {!Pair_triangle} when one fits) across
+    [config.domains] slices, exactly as {!mine} does; [config.trim] and
+    [config.hash] are not read. *)
+val count :
+  config -> k:int -> Itemset.t array -> Itemset.t array -> (Itemset.t * int) array
+
 (** [mine config db ~minsup] mines all itemsets with support count >=
     [minsup].
 
     @param obs telemetry context; when enabled and tracing, each level
       pass is wrapped in a [mine.pass] span carrying the level number and
-      the count of itemsets that survived it. Defaults to disabled.
+      the count of itemsets that survived it, with child spans
+      [mine.candidates] (generation and hash filter, levels >= 2),
+      [mine.count] (the database scan) and [mine.trim] (the trim for the
+      next pass, when [config.trim]). Defaults to disabled.
     @param stats work counters to accumulate into.
     @param cap abort (complete = false) once more than [cap] itemsets
       have been found; must be >= 1.

@@ -6,7 +6,30 @@
     inserted candidate that is a subset of the transaction by a pruned
     descent (a node is only entered through items the transaction
     contains). This makes one database pass count all candidates of a
-    level at once. *)
+    level at once.
+
+    {b Frozen layout.} Inserts only collect the candidates. The first
+    {!count_transaction}, {!count} or {!to_sorted_array} freezes them
+    into a flat, breadth-first (CSR) trie built from the lex-sorted
+    distinct candidates: a [row_start] array gives each internal node
+    its row of edges, a [child_item] array holds each edge's item with
+    every row sorted by item, and a [counts] array holds one counter per
+    candidate. Edges are numbered in the same breadth-first order as
+    nodes, so edge [e] leads to node [e + 1] and the child of an edge
+    needs no array of its own. Nothing is hashed and nothing is
+    allocated per transaction.
+
+    {b Cost per transaction.} At each node reached, the node's row is
+    matched against the transaction's still-usable suffix: by a merge
+    walk, or, when the row is more than 8 times longer than the suffix
+    (typically the root), by a binary search per suffix item. A
+    transaction of [n] items thus costs O(min(row + n, n log row)) per
+    node reached, and only nodes on paths of its own items are reached.
+
+    {b Insert after counting.} Freezing is final: {!insert} after the
+    first {!count_transaction}, {!count} or {!to_sorted_array} raises
+    [Invalid_argument "Trie.insert: after counting"]. Build a new trie
+    to count another candidate set. *)
 
 open Olar_data
 
@@ -24,7 +47,9 @@ val size : t -> int
 
 (** [insert t x] registers candidate [x] with a zero count. Duplicate
     inserts are idempotent. Raises [Invalid_argument] if
-    [Itemset.cardinal x <> depth t]. *)
+    [Itemset.cardinal x <> depth t], or once [t] is frozen (see above).
+    Inserting in lex order is cheapest: anything else is sorted once,
+    when [t] freezes. *)
 val insert : t -> Itemset.t -> unit
 
 (** [count_transaction t txn] increments every registered candidate that

@@ -153,7 +153,7 @@ let suites =
         case "committed ladder baseline"
           (test_committed_baseline "BENCH_ladder.json" 42);
         case "committed t10i4 baseline"
-          (test_committed_baseline "BENCH_T10I4.json" 43);
+          (test_committed_baseline "BENCH_T10I4.json" 53);
         case "ladder_json assembles traced runs" test_ladder_json;
       ] );
   ]

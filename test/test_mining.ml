@@ -69,6 +69,111 @@ let trie_vs_scan_prop =
         (fun (x, c) -> c = Database.support_count db x)
         (Trie.to_sorted_array t))
 
+let test_trie_insert_after_count () =
+  let t = Trie.create ~depth:2 in
+  Trie.insert t (set [ 0; 1 ]);
+  Trie.count_transaction t (set [ 0; 1 ]);
+  Alcotest.check_raises "frozen" (Invalid_argument "Trie.insert: after counting")
+    (fun () -> Trie.insert t (set [ 0; 2 ]));
+  check (Alcotest.option Alcotest.int) "count kept" (Some 1) (Trie.count t (set [ 0; 1 ]))
+
+(* A sparse counting case over a universe of up to 300 items: candidates
+   of one depth (1-5) drawn at random and from the transactions' own
+   items, inserted out of order with duplicates. Transactions hold at
+   most 8 items, so the root row of a few hundred candidates is far
+   longer than any transaction suffix and takes the binary-search
+   branch; transactions shorter than the depth occur too. *)
+let sparse_counting_gen ~depths =
+  let open QCheck2.Gen in
+  let* universe = int_range 1 300 in
+  let* depth = depths in
+  let item = int_range 0 (universe - 1) in
+  let* rows = list_size (int_range 0 40) (list_size (int_range 0 8) item) in
+  let* random = list_size (int_range 0 300) (list_repeat depth item) in
+  let* from_rows = flatten_l (List.map shuffle_l rows) in
+  let take_depth l = List.filteri (fun i _ -> i < depth) (List.sort_uniq compare l) in
+  let cands =
+    List.filter
+      (fun x -> Itemset.cardinal x = depth)
+      (List.map Itemset.of_list (random @ List.map take_depth from_rows))
+  in
+  let* again = list_size (int_range 0 20) (int_range 0 (max 0 (List.length cands - 1))) in
+  let dups = List.filteri (fun i _ -> List.mem i again) cands in
+  let* inserts = shuffle_l (cands @ dups) in
+  let* probe = list_repeat depth item in
+  return
+    (Database.of_lists ~num_items:universe rows, depth, inserts, Itemset.of_list probe)
+
+let print_counting_case (db, depth, inserts, _) =
+  Printf.sprintf "depth %d, %d inserts, %s" depth (List.length inserts)
+    (Helpers.db_print db)
+
+let distinct_sorted inserts =
+  List.sort_uniq Itemset.compare_lex inserts
+
+let trie_sparse_prop =
+  QCheck2.Test.make ~name:"trie: sparse candidates of depth 1-5 equal support counts"
+    ~count:150 ~print:print_counting_case
+    (sparse_counting_gen ~depths:(QCheck2.Gen.int_range 1 5))
+    (fun (db, depth, inserts, probe) ->
+      let t = Trie.create ~depth in
+      List.iter (Trie.insert t) inserts;
+      let distinct = distinct_sorted inserts in
+      Trie.size t = List.length distinct
+      && begin
+        Database.iter (Trie.count_transaction t) db;
+        Array.to_list (Trie.to_sorted_array t)
+        = List.map (fun x -> (x, Database.support_count db x)) distinct
+        && List.for_all
+             (fun x -> Trie.count t x = Some (Database.support_count db x))
+             distinct
+        && Trie.count t probe
+           = (if List.exists (Itemset.equal probe) distinct then
+                Some (Database.support_count db probe)
+              else None)
+      end)
+
+(* Level 2 through the pair triangle (the universe is small enough that
+   it always fits) equals a depth-2 trie over the same candidates, with
+   the transactions counted in one slice and in two. *)
+let pair_triangle_prop =
+  QCheck2.Test.make ~name:"pair triangle: equals the trie at k = 2, domains 1 and 2"
+    ~count:150 ~print:print_counting_case
+    (sparse_counting_gen ~depths:(QCheck2.Gen.return 2))
+    (fun (db, _, inserts, _) ->
+      let candidates = Array.of_list (distinct_sorted inserts) in
+      let txns = Array.init (Database.size db) (Database.get db) in
+      let trie = Trie.create ~depth:2 in
+      Array.iter (Trie.insert trie) candidates;
+      Array.iter (Trie.count_transaction trie) txns;
+      let expected = Trie.to_sorted_array trie in
+      let by domains =
+        Levelwise.count
+          { Levelwise.trim = false; hash = Levelwise.No_hash;
+            counting = Levelwise.Use_trie; domains }
+          ~k:2 txns candidates
+      in
+      Option.is_some (Pair_triangle.create candidates)
+      && by 1 = expected && by 2 = expected)
+
+let test_pair_triangle_fallback () =
+  (* 400 disjoint pairs rank 800 items: a 319,600-cell triangle for 400
+     candidates is declined, and level 2 counts through the trie *)
+  let candidates = Array.init 400 (fun i -> set [ 2 * i; (2 * i) + 1 ]) in
+  check Alcotest.bool "declined" true (Pair_triangle.create candidates = None);
+  let txns = [| set [ 0; 1; 2 ]; set [ 2; 3 ]; set [ 798; 799 ]; set [ 5 ] |] in
+  let config =
+    { Levelwise.trim = false; hash = Levelwise.No_hash;
+      counting = Levelwise.Use_trie; domains = 1 }
+  in
+  let counted = Levelwise.count config ~k:2 txns candidates in
+  check Alcotest.int "all candidates" 400 (Array.length counted);
+  check entries "counts"
+    [ (set [ 0; 1 ], 1); (set [ 2; 3 ], 1); (set [ 798; 799 ], 1) ]
+    (List.filter (fun (_, c) -> c > 0) (Array.to_list counted));
+  Alcotest.check_raises "arity" (Invalid_argument "Pair_triangle.create")
+    (fun () -> ignore (Pair_triangle.create [| set [ 0; 1; 2 ] |]))
+
 (* ------------------------------------------------------------------ *)
 (* Candidate *)
 
@@ -408,6 +513,34 @@ let parallel_equals_sequential () =
   Alcotest.check_raises "domains 0" (Invalid_argument "Dhp.mine: domains")
     (fun () -> ignore (Dhp.mine ~domains:0 db ~minsup:20))
 
+(* The miners' logical work on a fixed Quest database, pinned: a
+   counting kernel may change how a pass counts, never which candidates
+   it counts, how many the hash filter prunes or what trimming drops. *)
+let test_mining_stats_pinned () =
+  let params =
+    { Olar_datagen.Params.default with Olar_datagen.Params.num_items = 120;
+      num_potential = 40; num_transactions = 2_000; seed = 17 }
+  in
+  let db = Olar_datagen.Quest.generate params in
+  let stats_of mine domains =
+    let stats = Stats.create () in
+    ignore (mine ~stats ~domains db ~minsup:40);
+    Format.asprintf "%a" Stats.pp stats
+  in
+  List.iter
+    (fun domains ->
+      check Alcotest.string
+        (Printf.sprintf "dhp, %d domains" domains)
+        "passes=11 candidates=25046 frequent=19575 hash_pruned=620 trimmed_items=5970"
+        (stats_of (fun ~stats ~domains db ~minsup -> Dhp.mine ~stats ~domains db ~minsup) domains);
+      check Alcotest.string
+        (Printf.sprintf "apriori, %d domains" domains)
+        "passes=11 candidates=25666 frequent=19575 hash_pruned=0 trimmed_items=0"
+        (stats_of
+           (fun ~stats ~domains db ~minsup -> Apriori.mine ~stats ~domains db ~minsup)
+           domains))
+    [ 1; 2 ]
+
 let dhp_hashtree_counting_oracle_prop =
   miner_oracle_prop ~name:"dhp with hashtree counting: equals brute force"
     (fun db ~minsup ->
@@ -601,6 +734,10 @@ let suites =
         case "wrong arity" test_trie_wrong_arity;
         case "short transaction" test_trie_short_transaction;
         QCheck_alcotest.to_alcotest trie_vs_scan_prop;
+        case "insert after count" test_trie_insert_after_count;
+        QCheck_alcotest.to_alcotest trie_sparse_prop;
+        QCheck_alcotest.to_alcotest pair_triangle_prop;
+        case "pair triangle fallback" test_pair_triangle_fallback;
       ] );
     ( "mining.candidate",
       [
@@ -644,6 +781,7 @@ let suites =
         QCheck_alcotest.to_alcotest dhp_hashtree_counting_oracle_prop;
         QCheck_alcotest.to_alcotest parallel_counting_oracle_prop;
         case "parallel equals sequential" parallel_equals_sequential;
+        case "stats pinned" test_mining_stats_pinned;
       ] );
     ( "mining.fpgrowth",
       [
